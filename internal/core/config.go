@@ -148,6 +148,15 @@ func (c Config) Normalize() (Config, error) {
 		return c, fmt.Errorf("core: negative expected context %d", c.ExpectedContextTokens)
 	case c.Overcommit < 1:
 		return c, fmt.Errorf("core: overcommit %v must be >= 1", c.Overcommit)
+	case c.TTFTTarget < 0:
+		// A negative target flips the waiting-time urgency: the longest-
+		// waiting request would rank last.
+		return c, fmt.Errorf("core: negative TTFT target %v", c.TTFTTarget)
+	case c.TargetBufferSeconds < 0 || c.CriticalBufferSeconds < 0:
+		// A negative target buffer would make fat buffers more valuable,
+		// and a negative critical level would never flag a starving stream.
+		return c, fmt.Errorf("core: negative buffer thresholds (target=%v critical=%v)",
+			c.TargetBufferSeconds, c.CriticalBufferSeconds)
 	}
 	return c, nil
 }

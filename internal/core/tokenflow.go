@@ -2,6 +2,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/request"
@@ -21,6 +22,13 @@ type Scheduler struct {
 	LightPasses     int64
 	FallbackPasses  int64
 	SwapsApplied    int64
+
+	// Scratch reused by every full pass, so a pass allocates only the
+	// decision it returns once the buffers have grown.
+	cands    []candidate
+	admitted []*request.Request
+	victims  []*request.Request
+	pk       packer
 }
 
 // New constructs the scheduler, normalizing the config.
@@ -388,7 +396,7 @@ func (s *Scheduler) fullPass(v *sched.View) sched.Decision {
 	// fat-buffer stream in step 2. Admission requires the swap-feasibility
 	// criterion — enough running streams must be able to cover a swap —
 	// unless the device has outright free memory.
-	var admitted []*request.Request
+	admitted := s.admitted[:0]
 	free := v.FreeTokens - v.BacklogTokens()
 	swappable := 0
 	for _, r := range v.Running {
@@ -415,7 +423,7 @@ func (s *Scheduler) fullPass(v *sched.View) sched.Decision {
 	}
 
 	// --- Step 2: buffer balancing inside the working set ----------------
-	cands := make([]candidate, 0, members+len(admitted))
+	cands := s.cands[:0]
 	for _, r := range v.Running {
 		c := candidate{req: r, utility: s.utility(v, r), tokens: s.expectedTokens(v, r), resident: true}
 		// Streams that cannot survive a swap, or are still prefilling,
@@ -457,21 +465,27 @@ func (s *Scheduler) fullPass(v *sched.View) sched.Decision {
 	selected := s.selectCandidates(cands, budget, slots)
 
 	var d sched.Decision
+	victims := s.victims[:0]
 	for i := range cands {
 		c := &cands[i]
-		if c.resident && !selected[c.req.ID] && !c.committed {
-			d.Preempt = append(d.Preempt, c.req)
+		if c.resident && !selected[i] && !c.committed {
+			victims = append(victims, c.req)
 		}
 	}
+	d.Preempt = append([]*request.Request(nil), victims...)
 	// Admissions in utility order so the engine applies the most urgent
-	// first when memory is tight.
-	ordered := make([]candidate, 0, len(cands))
-	for _, c := range cands {
-		if !c.resident && selected[c.req.ID] {
+	// first when memory is tight. Selected candidates are compacted to
+	// the front of cands, which the pass no longer needs.
+	ordered := cands[:0]
+	for i, c := range cands {
+		if !c.resident && selected[i] {
 			ordered = append(ordered, c)
 		}
 	}
-	sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].utility > ordered[j].utility })
+	slices.SortStableFunc(ordered, func(a, b candidate) int { return moreUseful(a.utility, b.utility) })
+	if len(ordered) > 0 {
+		d.Admit = make([]sched.Admission, 0, len(ordered))
+	}
 	for _, c := range ordered {
 		adm := sched.Admission{Req: c.req}
 		if c.req.State == request.StatePreempted {
@@ -479,74 +493,168 @@ func (s *Scheduler) fullPass(v *sched.View) sched.Decision {
 		}
 		d.Admit = append(d.Admit, adm)
 	}
+
+	// Keep the grown buffers but drop their request pointers.
+	clear(cands)
+	clear(admitted)
+	clear(victims)
+	s.cands, s.admitted, s.victims = cands[:0], admitted[:0], victims[:0]
 	return d
 }
 
+// moreUseful orders utilities descending: negative when a ranks before b.
+// It is negative exactly when a > b, so a stable sort with it orders
+// exactly as one with the less function a > b.
+func moreUseful(a, b float64) int {
+	switch {
+	case a > b:
+		return -1
+	case b > a:
+		return 1
+	}
+	return 0
+}
+
+// packer holds the §4.2.2 local search's buffers, indexed by position p
+// in the priority order. Entry p of rem, left and util is the greedy
+// packing's state before order[p] is considered (token budget remaining,
+// batch slots left, utility of the discretionary selections so far);
+// entry n is the final state. sel[p] records whether order[p] is
+// selected. The t-prefixed buffers hold the same for one trial swap.
+type packer struct {
+	order       []int
+	sel, tsel   []bool
+	rem, left   []int
+	trem, tleft []int
+	util, tutil []float64
+	byCand      []bool
+}
+
+// resize returns b with length n, reusing its storage when it is large
+// enough. Callers overwrite every entry they read.
+func resize[T any](b []T, n int) []T {
+	if cap(b) < n {
+		return make([]T, n)
+	}
+	return b[:n]
+}
+
+// step applies the greedy packing to one candidate under the token budget
+// and the batch-slot cap (Σx_i ≤ B of §3.3; capped is false when slots
+// are unbounded): committed candidates always take their tokens and slot,
+// others when a slot is left and their tokens fit. It returns whether c
+// is selected and the state after it; only discretionary selections add
+// to the utility.
+func step(c *candidate, capped bool, rem, left int, util float64) (bool, int, int, float64) {
+	switch {
+	case c.committed:
+		return true, rem - c.tokens, left - 1, util
+	case capped && left <= 0:
+		return false, rem, left, util
+	case c.tokens <= rem:
+		return true, rem - c.tokens, left - 1, util + c.utility
+	}
+	return false, rem, left, util
+}
+
 // selectCandidates greedily picks candidates by descending utility under
-// the token budget, then applies the §4.2.2 local search: adjacent pairs
-// in the priority queue are tentatively swapped and the greedy packing is
+// the token budget (committed candidates first: they consume budget
+// regardless), then applies the §4.2.2 local search: adjacent pairs in
+// the priority queue are tentatively swapped and the greedy packing is
 // re-evaluated; a swap sticks when it raises the total selected utility
 // within the memory constraint. (A single large high-utility request can
-// otherwise block several slightly-lower-utility small ones.)
-func (s *Scheduler) selectCandidates(cands []candidate, budget, slots int) map[int]bool {
-	order := make([]int, len(cands))
+// otherwise block several slightly-lower-utility small ones.) The result
+// is indexed like cands and is valid until the next call.
+//
+// The packer keeps the state before every position of the accepted order
+// (see packer), so a trial swap at k resumes from the saved state at k
+// instead of re-packing from the start. Past k+1 the trial order equals
+// the saved one, so once the trial's remaining budget and slots equal the
+// saved ones at some position j ≥ k+2 every later selection is the saved
+// one too. The trial then only replays the utility sum, and is rejected
+// outright when its running utility at j is also equal.
+//
+// Float order: the total is always the left-to-right sum of selected
+// utilities in the trial order, exactly as a full re-pack computes it.
+// Exchanging two selected candidates can change that sum by an ulp, and
+// such a swap is accepted when the sum rises, so no shortcut may
+// re-associate the sum (e.g. total − saved prefix + trial prefix).
+func (s *Scheduler) selectCandidates(cands []candidate, budget, slots int) []bool {
+	n := len(cands)
+	p := &s.pk
+	p.order = resize(p.order, n)
+	p.sel, p.tsel, p.byCand = resize(p.sel, n), resize(p.tsel, n), resize(p.byCand, n)
+	p.rem, p.left, p.util = resize(p.rem, n+1), resize(p.left, n+1), resize(p.util, n+1)
+	p.trem, p.tleft, p.tutil = resize(p.trem, n+1), resize(p.tleft, n+1), resize(p.tutil, n+1)
+
+	order := p.order
 	for i := range order {
 		order[i] = i
 	}
-	sort.SliceStable(order, func(a, b int) bool {
-		ca, cb := cands[order[a]], cands[order[b]]
+	slices.SortStableFunc(order, func(a, b int) int {
+		ca, cb := &cands[a], &cands[b]
 		if ca.committed != cb.committed {
-			return ca.committed // committed first: they consume budget regardless
+			if ca.committed {
+				return -1
+			}
+			return 1
 		}
-		return ca.utility > cb.utility
+		return moreUseful(ca.utility, cb.utility)
 	})
 
-	bestSel, bestUtil := s.pack(cands, order, budget, slots)
-	if !s.cfg.LocalSearch {
-		return bestSel
+	capped := slots > 0
+	p.rem[0], p.left[0], p.util[0] = budget, slots, 0
+	for q, ci := range order {
+		p.sel[q], p.rem[q+1], p.left[q+1], p.util[q+1] = step(&cands[ci], capped, p.rem[q], p.left[q], p.util[q])
 	}
-	for k := 0; k+1 < len(order); k++ {
+
+	for k := 0; s.cfg.LocalSearch && k+1 < n; k++ {
 		if cands[order[k]].committed || cands[order[k+1]].committed {
 			continue // committed entries are fixed consumers of budget
 		}
+		// Pack the trial order (order with k and k+1 exchanged) from the
+		// saved state at k until it rejoins the saved state. Slots left
+		// only matter under a cap.
+		rem, left, util := p.rem[k], p.left[k], p.util[k]
+		j := k
+		for ; j < n; j++ {
+			if j >= k+2 && rem == p.rem[j] && (!capped || left == p.left[j]) {
+				break
+			}
+			ci := order[j]
+			switch j {
+			case k:
+				ci = order[k+1]
+			case k + 1:
+				ci = order[k]
+			}
+			p.tsel[j], rem, left, util = step(&cands[ci], capped, rem, left, util)
+			p.trem[j+1], p.tleft[j+1], p.tutil[j+1] = rem, left, util
+		}
+		if j < n && util == p.util[j] {
+			continue // same state from j on: same total
+		}
+		for q := j; q < n; q++ {
+			if p.sel[q] {
+				util += cands[order[q]].utility
+			}
+			p.tutil[q+1] = util
+		}
+		if !(util > p.util[n]) {
+			continue
+		}
+		// Accept: the trial state is computed up to j, and beyond j only
+		// the running utility differs from the saved state.
 		order[k], order[k+1] = order[k+1], order[k]
-		sel, util := s.pack(cands, order, budget, slots)
-		if util > bestUtil {
-			bestSel, bestUtil = sel, util
-			s.SwapsApplied++
-		} else {
-			order[k], order[k+1] = order[k+1], order[k] // revert
-		}
+		copy(p.sel[k:j], p.tsel[k:j])
+		copy(p.rem[k+1:j+1], p.trem[k+1:j+1])
+		copy(p.left[k+1:j+1], p.tleft[k+1:j+1])
+		copy(p.util[k+1:], p.tutil[k+1:n+1])
+		s.SwapsApplied++
 	}
-	return bestSel
-}
 
-// pack runs the greedy packing over a candidate order under the token
-// budget and the batch-slot cap (Σx_i ≤ B of §3.3; slots <= 0 means
-// unbounded), returning the selected IDs and the total utility of the
-// discretionary selections.
-func (s *Scheduler) pack(cands []candidate, order []int, budget, slots int) (map[int]bool, float64) {
-	selected := make(map[int]bool, len(order))
-	remaining := budget
-	left := slots
-	util := 0.0
-	for _, i := range order {
-		c := cands[i]
-		if c.committed {
-			selected[c.req.ID] = true
-			remaining -= c.tokens
-			left--
-			continue
-		}
-		if slots > 0 && left <= 0 {
-			continue
-		}
-		if c.tokens <= remaining {
-			selected[c.req.ID] = true
-			remaining -= c.tokens
-			left--
-			util += c.utility
-		}
+	for q, ci := range order {
+		p.byCand[ci] = p.sel[q]
 	}
-	return selected, util
+	return p.byCand
 }

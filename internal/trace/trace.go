@@ -6,8 +6,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/simclock"
@@ -81,14 +83,15 @@ func (w Workload) Duration() simclock.Time {
 // Merge combines workloads into one, re-sorted by arrival time. Merging is
 // stable for equal arrivals.
 func Merge(name string, ws ...Workload) Workload {
-	var out Workload
-	out.Name = name
+	n := 0
+	for _, w := range ws {
+		n += len(w.Items)
+	}
+	out := Workload{Name: name, Items: slices.Grow([]Item(nil), n)}
 	for _, w := range ws {
 		out.Items = append(out.Items, w.Items...)
 	}
-	sort.SliceStable(out.Items, func(i, j int) bool {
-		return out.Items[i].Arrival < out.Items[j].Arrival
-	})
+	slices.SortStableFunc(out.Items, func(a, b Item) int { return cmp.Compare(a.Arrival, b.Arrival) })
 	return out
 }
 

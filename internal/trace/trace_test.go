@@ -3,6 +3,8 @@ package trace
 import (
 	"math"
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -320,6 +322,32 @@ func TestPropertyBurstValid(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Error(err)
+	}
+}
+
+// Merge must order exactly as a stable sort.SliceStable over the
+// concatenation, ties on Arrival included.
+func TestMergeMatchesStableSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 200; trial++ {
+		ws := make([]Workload, rng.Intn(4))
+		var ref []Item
+		for i := range ws {
+			for j := rng.Intn(30); j > 0; j-- {
+				// Four distinct arrivals make ties common; the lengths tell
+				// tied items apart.
+				ws[i].Items = append(ws[i].Items, Item{
+					Arrival:   simclock.FromSeconds(float64(rng.Intn(4))),
+					PromptLen: 1 + len(ref),
+					OutputLen: 1 + i,
+				})
+				ref = append(ref, ws[i].Items[len(ws[i].Items)-1])
+			}
+		}
+		sort.SliceStable(ref, func(i, j int) bool { return ref[i].Arrival < ref[j].Arrival })
+		if got := Merge("m", ws...); !reflect.DeepEqual(got.Items, ref) {
+			t.Fatalf("trial %d: Merge = %+v, reference %+v", trial, got.Items, ref)
+		}
 	}
 }
 
