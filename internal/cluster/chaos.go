@@ -110,10 +110,6 @@ type chaosRuntime struct {
 	// the in-flight pin-transfer registry aborts tear down.
 	linkDown map[linkKey]simclock.Time
 	flights  []*flight
-
-	crashes, retries, retryFailures, backfills int64
-	replications, replicatedBytes              int64
-	brownouts, linkFlaps, migrationsAborted    int64
 }
 
 // initChaos validates the spec and arms the runtime when it is active.
@@ -197,7 +193,7 @@ func (c *Cluster) injectCrash(rep *replica, now simclock.Time) {
 	rep.state = autoscale.Off
 	c.noteActive(rep.id, false)
 	c.event(now, ScaleCrash, rep.id)
-	c.chaos.crashes++
+	c.out.Crashes++
 	c.recFor(rep.id).Emit(now, obs.KindCrash, rep.id, -1, 0,
 		int64(len(orphans)), int64(pinsLost), int64(mirrorsLost), 0, "")
 
@@ -271,7 +267,7 @@ func (c *Cluster) retryNow(r *request.Request, attempt int, now simclock.Time) {
 				// admission counters: this request was already admitted.
 				r.ResetForRetry(c.clock)
 				c.gateway = append(c.gateway, r)
-				c.chaos.retries++
+				c.out.Retries++
 				c.rec.Emit(now, obs.KindRetry, -1, r.ID, r.Session,
 					int64(attempt), 0, 0, 0, "gateway")
 				return
@@ -285,7 +281,7 @@ func (c *Cluster) retryNow(r *request.Request, attempt int, now simclock.Time) {
 		}
 		r.ResetForRetry(c.clock)
 		c.chaos.failed = append(c.chaos.failed, r)
-		c.chaos.retryFailures++
+		c.out.RetryFailures++
 		c.rec.Emit(now, obs.KindRetry, -1, r.ID, r.Session,
 			int64(attempt), 0, 0, 0, "failed")
 		return
@@ -311,7 +307,7 @@ func (c *Cluster) retryNow(r *request.Request, attempt int, now simclock.Time) {
 	}
 	r.ResetForRetry(c.clock)
 	rep.routed++
-	c.chaos.retries++
+	c.out.Retries++
 	c.recFor(rep.id).Emit(now, obs.KindRetry, rep.id, r.ID, r.Session,
 		int64(attempt), 0, 0, 0, "reroute")
 	rep.eng.InjectCause(r, now, obs.QueueCauseRetry)
@@ -322,7 +318,7 @@ func (c *Cluster) retryNow(r *request.Request, attempt int, now simclock.Time) {
 // ledger (and its event kind), so the admission conservation laws hold
 // unchanged.
 func (c *Cluster) shedCrashed(id int, it trace.Item, now simclock.Time) {
-	c.gatewayShed++
+	c.out.GatewayShed++
 	c.rec.Emit(now, obs.KindGatewayShed, -1, id, it.Session,
 		int64(it.PromptLen), int64(it.OutputLen), 0, 0, "crash")
 }
@@ -330,7 +326,7 @@ func (c *Cluster) shedCrashed(id int, it trace.Item, now simclock.Time) {
 // injectBrownout opens one slow-node window: iterations launched inside it
 // cost Factor times their modelled duration.
 func (c *Cluster) injectBrownout(rep *replica, f chaos.Fault, now simclock.Time) {
-	c.chaos.brownouts++
+	c.out.Brownouts++
 	rep.eng.SetSlowdown(f.Factor)
 	c.recFor(rep.id).Emit(now, obs.KindBrownout, rep.id, -1, 0, 0, 0, 0, f.Factor, "begin")
 	c.clock.At(now.Add(f.Duration), func(t simclock.Time) {
@@ -349,7 +345,7 @@ func (c *Cluster) injectLinkFlap(f chaos.Fault, now simclock.Time) {
 	if cur, ok := c.chaos.linkDown[key]; !ok || until > cur {
 		c.chaos.linkDown[key] = until
 	}
-	c.chaos.linkFlaps++
+	c.out.LinkFlaps++
 	aborted := 0
 	for _, fl := range c.flightsCrossing(key) {
 		c.abortFlight(fl, now)
@@ -421,7 +417,7 @@ func (c *Cluster) abortFlight(fl *flight, now simclock.Time) {
 	c.migrationsInFlight--
 	fl.donor.outMigrations--
 	fl.target.inMigrations--
-	c.chaos.migrationsAborted++
+	c.out.MigrationsAborted++
 	if !fl.donor.eng.Crashed() {
 		fl.donor.eng.AbortPrefixMigration(fl.session)
 	}
@@ -457,8 +453,8 @@ func (c *Cluster) startRepins(now simclock.Time) {
 			continue
 		}
 		c.chaos.replicationsInFlight++
-		c.chaos.replications++
-		c.chaos.replicatedBytes += bytes
+		c.out.Replications++
+		c.out.ReplicatedBytes += bytes
 		c.recFor(job.rep.id).Emit(now, obs.KindReplicate, job.rep.id, -1, job.session,
 			int64(job.rep.id), int64(tokens), bytes, 0, "repin")
 		c.clock.At(done, func(t simclock.Time) {
@@ -505,8 +501,8 @@ func (c *Cluster) replicateTick(now simclock.Time) {
 				_, done := c.fab.BookBetween(fabric.ClassReplicate, src.id, dst.id, now, bytes)
 				c.chaos.copying[key] = true
 				c.chaos.replicationsInFlight++
-				c.chaos.replications++
-				c.chaos.replicatedBytes += bytes
+				c.out.Replications++
+				c.out.ReplicatedBytes += bytes
 				c.recFor(src.id).Emit(now, obs.KindReplicate, src.id, -1, info.Session,
 					int64(dst.id), int64(tokens), bytes, 0, "copy")
 				dst := dst

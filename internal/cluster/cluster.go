@@ -76,10 +76,11 @@ type Config struct {
 	// Shards partitions the replicas across parallel worker goroutines
 	// (see shards.go): replica i runs its engine events on the sub-clock
 	// of shard i mod Shards, synchronized with the coordinator clock at
-	// every cross-replica event. 0 or 1 keeps the single-threaded loop.
-	// Results are identical either way (the determinism suite asserts deep
-	// equality), except that a sharded run which hits MaxSimTime stops at
-	// the deadline instead of one event past it. Clamped to Replicas.
+	// every cross-replica event. 0 or 1 keeps the single-threaded loop;
+	// negative is an error. Results are identical either way (the
+	// determinism suite asserts deep equality), except that a sharded run
+	// which hits MaxSimTime stops at the deadline instead of one event past
+	// it. Clamped to Replicas.
 	// The flight recorder is sharded-safe: each shard records onto its own
 	// recorder and profiler, emissions route by the event's replica, and
 	// the streams merge deterministically at collect — event and trace
@@ -333,35 +334,34 @@ type ReplicaStats struct {
 	Result *engine.Result
 }
 
-// Result is the outcome of one cluster run.
-type Result struct {
-	Policy   string
-	Replicas int
-
-	// Report merges every replica's requests into one cluster-level
-	// analysis: TTFT percentiles, throughput, effective throughput, and
-	// QoS over the whole population.
-	Report metrics.Report
-
-	// Samples is the merged queued/running time series (sums across
-	// replicas at each tick).
-	Samples []request.Sample
-
-	// Makespan is the time of the cluster's last generated token.
-	Makespan time.Duration
-
-	// TimedOut is set when the run hit MaxSimTime before completing.
-	TimedOut bool
-
+// Outcome is the run's scalar outcome ledger: every counter of what a
+// cluster run did, declared once. The Cluster increments its own Outcome
+// in place at each counting site, collect adds the per-replica sums, and
+// Result embeds the ledger — as does the public tokenflow.ClusterResult —
+// so a new counter is one field here plus one increment site. Invariant
+// law 5 (checkEventReconciliation) cross-checks the ledger against the
+// recorded event stream.
+type Outcome struct {
 	// Imbalance is the peak-to-mean ratio of per-replica generated output
 	// tokens (1.0 = perfectly balanced).
 	Imbalance float64
 
-	// ImbalanceSeries samples the per-replica load imbalance over time:
-	// at each sampling tick, the peak-to-mean ratio of outstanding
-	// (queued + running) requests across replicas. Empty when sampling is
-	// disabled.
-	ImbalanceSeries []ImbalancePoint
+	// PrefixHits counts requests admitted with a session prefix-cache hit
+	// across replicas (the reuse affinity routing preserved);
+	// PrefixHitTokens is the prefill work those hits skipped.
+	PrefixHits      int64
+	PrefixHitTokens int64
+
+	// PrefixEvictions totals pinned prefixes evicted under memory pressure
+	// across replicas; PinnedPrefixPages the pages still pinned at the end
+	// of the run (prefix residency charged to the pools).
+	PrefixEvictions   int64
+	PinnedPrefixPages int
+
+	// HostMirrorBytes totals the host-tier prefix-mirror footprint across
+	// replicas at the end of the run — the host memory still holding
+	// reloadable copies of evicted pins.
+	HostMirrorBytes int64
 
 	// Migrations counts cross-replica prefix migrations the cluster
 	// performed; MigratedTokens the KV tokens shipped over the fabric;
@@ -374,77 +374,47 @@ type Result struct {
 	MigrationDrops     int64
 	MigrationsDeclined int64
 
-	// TransferClasses totals the fabric traffic per transfer class (sync,
-	// evict, load, reload, migrate, prewarm, drain) across every link of
-	// the topology — the movement-cost ledger of the run.
-	TransferClasses []fabric.ClassStats
-
 	// HostReloads / HostReloadTokens total the host-tier prefix reloads
 	// across replicas (evicted pins brought back over h2d instead of
-	// recomputed); HostReloadFallbacks the reloads declined by the
-	// recompute-vs-reload break-even; HostReloadDrops the reloads whose
-	// pin could not be installed when the transfer landed (the wire was
-	// paid but the turn recomputed anyway).
+	// recomputed, charged inside TTFT); HostReloadFallbacks the reloads
+	// declined by the recompute-vs-reload break-even on a backlogged link;
+	// HostReloadDrops the reloads whose pin could not be installed when the
+	// transfer landed (the wire was paid but the turn recomputed anyway).
 	HostReloads         int64
 	HostReloadTokens    int64
 	HostReloadFallbacks int64
 	HostReloadDrops     int64
 
-	// PrefixHits and PrefixHitTokens total the session prefix-cache hits
-	// across replicas (the reuse affinity routing preserved).
-	PrefixHits      int64
-	PrefixHitTokens int64
-
-	// Autoscaling outcome (zero / empty in a static cluster).
+	// Autoscaling outcome (zero in a static cluster).
 	//
-	// ScaleEvents logs every lifecycle transition the control loop drove;
-	// ReplicaSeries samples the per-state replica counts at every control
-	// tick. GPUSeconds totals the simulated time replicas spent in
-	// service (warming, active, or draining) — the cost axis autoscaling
-	// trades against tail latency; a static cluster reports
-	// replicas × final-clock-time. WarmupStalls counts arrivals routed
-	// while at least one replica was still warming: demand the pool had
-	// already answered but could not serve yet. Prewarms / PrewarmedTokens
-	// total the pre-warm migrations that seeded warming replicas;
-	// DrainMigrations / DrainDroppedPins account the pinned prefixes a
-	// draining replica handed off or discarded.
-	ScaleEvents      []ScaleEvent
-	ReplicaSeries    []ReplicaCountPoint
-	GPUSeconds       float64
-	WarmupStalls     int64
-	Prewarms         int64
-	PrewarmedTokens  int64
-	DrainMigrations  int64
-	DrainDroppedPins int64
+	// ScaleUps counts warm-ups and reactivations (a cancelled drain
+	// restores capacity just like a warm-up does), ScaleDowns the drains —
+	// the control loop's actual activity under flapping load. GPUSeconds
+	// totals the simulated time replicas spent in service (warming,
+	// active, or draining) — the cost axis autoscaling trades against tail
+	// latency; a static cluster reports replicas × final-clock-time.
+	// WarmupStalls counts arrivals routed while at least one replica was
+	// still warming: demand the pool had already answered but could not
+	// serve yet. Prewarms / PrewarmedTokens total the pre-warm migrations
+	// that seeded warming replicas; DrainMigrations / DrainDroppedPins
+	// account the pinned prefixes a draining replica handed off or
+	// discarded.
+	ScaleUps, ScaleDowns int
+	GPUSeconds           float64
+	WarmupStalls         int64
+	Prewarms             int64
+	PrewarmedTokens      int64
+	DrainMigrations      int64
+	DrainDroppedPins     int64
 
-	// Scale-to-zero gateway outcome (zero / empty unless ScaleToZero).
+	// Scale-to-zero gateway outcome (zero unless ScaleToZero).
 	//
 	// GatewayBuffered counts arrivals held in the gateway while no replica
 	// was active; GatewayShed the arrivals dropped because the gateway was
 	// full — or, under chaos, because every replica was crash-dead with no
-	// gateway to wait in (they never enter Requests). GatewaySeries
-	// samples the gateway depth at every control tick.
+	// gateway to wait in (they appear in no replica's results).
 	GatewayBuffered int64
 	GatewayShed     int64
-	GatewaySeries   []GatewayPoint
-
-	// ForecastError is the predictive policy's mean absolute arrival-rate
-	// forecast error in req/s over ForecastSamples scored forecasts (zero
-	// for non-forecasting policies).
-	ForecastError   float64
-	ForecastSamples int
-
-	// PrefixIndex is the gateway index's end-of-run accounting: the
-	// publication ledger (published / dropped / applied / pending), the
-	// heartbeat count, and the indexed-affinity outcome counters. Nil when
-	// the run maintained no index.
-	PrefixIndex *prefixindex.Stats
-
-	// Obs is the run's flight-recorder capture: lifecycle events, telemetry
-	// series, and phase timings, per Config.Obs. Nil when every layer was
-	// off. The capture is observation only — nilling this field yields a
-	// Result deep-equal to the same run without the recorder.
-	Obs *obs.Capture
 
 	// Chaos outcome (all zero without an active Config.Chaos; see
 	// chaos.go). Crashes counts replica crash faults that landed on a live
@@ -468,6 +438,76 @@ type Result struct {
 	LinkFlaps         int64
 	MigrationsAborted int64
 
+	// ForecastError is the predictive policy's mean absolute arrival-rate
+	// forecast error in req/s over ForecastSamples scored forecasts (both
+	// zero for non-forecasting policies).
+	ForecastError   float64
+	ForecastSamples int
+
+	// EventsProcessed counts the simulation events fired across every
+	// clock of the run (the coordinator clock plus any shard sub-clocks) —
+	// the denominator of per-event cost in the core benchmark and a
+	// determinism witness: a sharded run fires exactly the events of its
+	// single-threaded twin.
+	EventsProcessed uint64
+}
+
+// Result is the outcome of one cluster run.
+type Result struct {
+	Policy   string
+	Replicas int
+
+	// Outcome holds every scalar counter of the run.
+	Outcome
+
+	// Report merges every replica's requests into one cluster-level
+	// analysis: TTFT percentiles, throughput, effective throughput, and
+	// QoS over the whole population.
+	Report metrics.Report
+
+	// Samples is the merged queued/running time series (sums across
+	// replicas at each tick).
+	Samples []request.Sample
+
+	// Makespan is the time of the cluster's last generated token.
+	Makespan time.Duration
+
+	// TimedOut is set when the run hit MaxSimTime before completing.
+	TimedOut bool
+
+	// ImbalanceSeries samples the per-replica load imbalance over time:
+	// at each sampling tick, the peak-to-mean ratio of outstanding
+	// (queued + running) requests across replicas. Empty when sampling is
+	// disabled.
+	ImbalanceSeries []ImbalancePoint
+
+	// TransferClasses totals the fabric traffic per transfer class (sync,
+	// evict, load, reload, migrate, prewarm, drain) across every link of
+	// the topology — the movement-cost ledger of the run.
+	TransferClasses []fabric.ClassStats
+
+	// Autoscaling series (empty in a static cluster). ScaleEvents logs
+	// every lifecycle transition the control loop drove; ReplicaSeries
+	// samples the per-state replica counts at every control tick.
+	ScaleEvents   []ScaleEvent
+	ReplicaSeries []ReplicaCountPoint
+
+	// GatewaySeries samples the scale-to-zero gateway depth at every
+	// control tick (empty unless ScaleToZero).
+	GatewaySeries []GatewayPoint
+
+	// PrefixIndex is the gateway index's end-of-run accounting: the
+	// publication ledger (published / dropped / applied / pending), the
+	// heartbeat count, and the indexed-affinity outcome counters. Nil when
+	// the run maintained no index.
+	PrefixIndex *prefixindex.Stats
+
+	// Obs is the run's flight-recorder capture: lifecycle events, telemetry
+	// series, and phase timings, per Config.Obs. Nil when every layer was
+	// off. The capture is observation only — nilling this field yields a
+	// Result deep-equal to the same run without the recorder.
+	Obs *obs.Capture
+
 	// Attribution is the critical-path latency attribution report
 	// (Config.Obs.Attribution): per-phase latency distributions split by
 	// request class and replica, plus the slowest spans for per-request
@@ -480,13 +520,6 @@ type Result struct {
 	// compare it against GPUSeconds.
 	SimEnd           time.Duration
 	InitialInService int
-
-	// EventsProcessed counts the simulation events fired across every
-	// clock of the run (the coordinator clock plus any shard sub-clocks) —
-	// the denominator of per-event cost in the core benchmark and a
-	// determinism witness: a sharded run fires exactly the events of its
-	// single-threaded twin.
-	EventsProcessed uint64
 
 	// PerReplica lists each replica's stats in replica order.
 	PerReplica []ReplicaStats
@@ -566,28 +599,21 @@ type Cluster struct {
 	// endpoints handed to BuildEngine.
 	fab *fabric.TransferScheduler
 
+	// out is the run's outcome ledger: every counting site increments its
+	// field in place, and collect hands it to the Result.
+	out Outcome
+
 	migrationsInFlight int
-	migrations         int64
-	migratedTokens     int64
-	migrationDrops     int64
-	migrationsDeclined int64
 
 	// Autoscaler bookkeeping (see lifecycle.go).
-	scaleEvents      []ScaleEvent
-	replicaSeries    []ReplicaCountPoint
-	warmupStalls     int64
-	prewarms         int64
-	prewarmedTokens  int64
-	drainMigrations  int64
-	drainDroppedPins int64
+	scaleEvents   []ScaleEvent
+	replicaSeries []ReplicaCountPoint
 
 	// Scale-to-zero gateway (see gateway.go) and the windowed TTFT
 	// estimator feeding latency-driven policies. arrivalsThisTick counts
 	// arrivals between control ticks — the predictive policy's rate
 	// sample.
 	gateway          []*request.Request
-	gatewayBuffered  int64
-	gatewayShed      int64
 	gatewaySeries    []GatewayPoint
 	ttftWin          *metrics.TTFTWindow
 	arrivalsThisTick int
@@ -662,6 +688,9 @@ func New(cfg Config, build BuildEngine) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Replicas < 1 {
 		return nil, fmt.Errorf("cluster: replica count %d must be >= 1", cfg.Replicas)
+	}
+	if cfg.Shards < 0 {
+		return nil, fmt.Errorf("cluster: shard count %d must be >= 0", cfg.Shards)
 	}
 	if cfg.Policy == nil {
 		return nil, fmt.Errorf("cluster: nil routing policy")
@@ -955,7 +984,7 @@ func (c *Cluster) route(id int, it trace.Item) *replica {
 		for _, rep := range c.replicas {
 			if rep.state == autoscale.Warming {
 				// Capacity this arrival could have used is still loading.
-				c.warmupStalls++
+				c.out.WarmupStalls++
 				break
 			}
 		}
@@ -1049,7 +1078,7 @@ func (c *Cluster) maybeMigrate(r *request.Request, it trace.Item, target *replic
 		// beyond what it already caches.
 		recompute := target.eng.EstimatePrefill(best - targetOwn)
 		if eta >= recompute {
-			c.migrationsDeclined++
+			c.out.MigrationsDeclined++
 			c.recFor(donor).Emit(now, obs.KindMigrateDecline, donor, r.ID, it.Session,
 				int64(target.id), int64(eta), int64(recompute),
 				float64(best-targetOwn), "")
@@ -1059,7 +1088,7 @@ func (c *Cluster) maybeMigrate(r *request.Request, it trace.Item, target *replic
 	// The deferred inject rides the transfer completion: the request is
 	// delivered together with its KV, so the wire time lands inside TTFT.
 	return c.migratePin(c.replicas[donor], target, it.Session, fabric.ClassMigrate, now,
-		&c.migrations, &c.migratedTokens, r, func(t simclock.Time) {
+		&c.out.Migrations, &c.out.MigratedTokens, r, func(t simclock.Time) {
 			target.eng.InjectCause(r, t, obs.QueueCauseMigrate)
 		})
 }
@@ -1087,9 +1116,13 @@ func (c *Cluster) done() bool {
 func (c *Cluster) collect(timedOut bool) *Result {
 	end := c.endNow()
 	res := &Result{
-		Policy:   c.cfg.Policy.Name(),
-		Replicas: len(c.replicas),
-		TimedOut: timedOut,
+		Policy:        c.cfg.Policy.Name(),
+		Replicas:      len(c.replicas),
+		TimedOut:      timedOut,
+		Outcome:       c.out,
+		ScaleEvents:   c.scaleEvents,
+		ReplicaSeries: c.replicaSeries,
+		GatewaySeries: c.gatewaySeries,
 	}
 	// Under autoscaling, Imbalance is computed over the replicas that
 	// participated (routed at least one request): a replica that stayed
@@ -1114,25 +1147,23 @@ func (c *Cluster) collect(timedOut bool) *Result {
 		res.Requests = append(res.Requests, er.Requests...)
 		res.PrefixHits += er.PrefixHits
 		res.PrefixHitTokens += er.PrefixHitTokens
+		res.PrefixEvictions += er.KV.PrefixEvictions
+		res.PinnedPrefixPages += er.KV.PinnedPages
+		res.HostMirrorBytes += er.KV.HostMirrorBytes
+		res.HostReloads += er.KV.HostReloads
+		res.HostReloadTokens += er.KV.HostReloadTokens
+		res.HostReloadFallbacks += er.HostReloadFallbacks
+		res.HostReloadDrops += er.KV.HostReloadDrops
 		res.GPUSeconds += rep.busy.Seconds()
 		if c.cfg.Autoscale == nil || rep.routed > 0 {
 			loads = append(loads, float64(er.Report.TotalOut))
 		}
 	}
-	if ch := c.chaos; ch != nil {
+	if c.chaos != nil {
 		// Requests that exhausted the retry budget belong to no replica;
 		// they enter the population unfinished (censored TTFT, zero output)
 		// so the cluster report prices the failures it caused.
-		res.Requests = append(res.Requests, ch.failed...)
-		res.Crashes = ch.crashes
-		res.Retries = ch.retries
-		res.RetryFailures = ch.retryFailures
-		res.Backfills = ch.backfills
-		res.Replications = ch.replications
-		res.ReplicatedBytes = ch.replicatedBytes
-		res.Brownouts = ch.brownouts
-		res.LinkFlaps = ch.linkFlaps
-		res.MigrationsAborted = ch.migrationsAborted
+		res.Requests = append(res.Requests, c.chaos.failed...)
 	}
 	sort.SliceStable(res.Requests, func(i, j int) bool { return res.Requests[i].ID < res.Requests[j].ID })
 
@@ -1156,28 +1187,8 @@ func (c *Cluster) collect(timedOut bool) *Result {
 	res.Imbalance = metrics.Imbalance(loads)
 	res.Samples = mergeSamples(res.PerReplica)
 	res.ImbalanceSeries = imbalanceSeries(res.PerReplica, c.svcMask)
-	res.Migrations = c.migrations
-	res.MigratedTokens = c.migratedTokens
-	res.MigrationDrops = c.migrationDrops
-	res.MigrationsDeclined = c.migrationsDeclined
 	c.settleIndexTraffic()
 	res.TransferClasses = c.fab.ClassStats()
-	for _, rs := range res.PerReplica {
-		res.HostReloads += rs.Result.KV.HostReloads
-		res.HostReloadTokens += rs.Result.KV.HostReloadTokens
-		res.HostReloadFallbacks += rs.Result.HostReloadFallbacks
-		res.HostReloadDrops += rs.Result.KV.HostReloadDrops
-	}
-	res.ScaleEvents = c.scaleEvents
-	res.ReplicaSeries = c.replicaSeries
-	res.WarmupStalls = c.warmupStalls
-	res.Prewarms = c.prewarms
-	res.PrewarmedTokens = c.prewarmedTokens
-	res.DrainMigrations = c.drainMigrations
-	res.DrainDroppedPins = c.drainDroppedPins
-	res.GatewayBuffered = c.gatewayBuffered
-	res.GatewayShed = c.gatewayShed
-	res.GatewaySeries = c.gatewaySeries
 	// Attribution report first (timed on the coordinator profiler, so the
 	// finalize cost lands in the merged profile), then the capture: the
 	// per-shard recorder and profiler streams fold into one canonical

@@ -320,6 +320,9 @@ func TestClusterConfigErrors(t *testing.T) {
 	if _, err := cluster.New(cluster.Config{Replicas: 2, Policy: router.NewRoundRobin()}, nil); err == nil {
 		t.Error("nil builder should fail")
 	}
+	if _, err := cluster.New(cluster.Config{Replicas: 2, Shards: -1, Policy: router.NewRoundRobin()}, buildTokenFlow()); err == nil {
+		t.Error("negative shards should fail")
+	}
 	cl, err := cluster.New(cluster.Config{Replicas: 2, Policy: router.NewRoundRobin()}, buildTokenFlow())
 	if err != nil {
 		t.Fatal(err)

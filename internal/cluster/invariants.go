@@ -32,9 +32,9 @@ import (
 //  5. When the run recorded lifecycle events (Config.Obs.Events), the
 //     summed event counts reconcile with the aggregate counters: arrivals
 //     cover the workload, completions match the finished population,
-//     sheds/migrations/declines/pre-warms/drain hand-offs match their
-//     Result counters. A flight recorder that disagreed with the ledgers
-//     it observes would be worse than none.
+//     sheds/migrations/declines/pre-warms/drain hand-offs/prefix
+//     evictions match their Outcome counters. A flight recorder that
+//     disagreed with the ledgers it observes would be worse than none.
 //  6. Chaos conservation: on a finished run every admitted request either
 //     finished generating or exhausted the chaos retry budget (crashes
 //     lose work, never requests), and the fabric's replicate class booked
@@ -229,6 +229,7 @@ func checkEventReconciliation(res *Result, wLen int) error {
 		{"crash", obs.KindCrash, res.Crashes},
 		{"replicate", obs.KindReplicate, res.Replications},
 		{"retry", obs.KindRetry, res.Retries + res.RetryFailures},
+		{"kv-evict", obs.KindKVEvict, res.PrefixEvictions},
 	}
 	if st := res.PrefixIndex; st != nil {
 		checks = append(checks,

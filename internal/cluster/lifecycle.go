@@ -28,9 +28,17 @@ import (
 	"repro/internal/simclock"
 )
 
-// event appends one lifecycle transition to the scale-event log.
+// event appends one lifecycle transition to the scale-event log and
+// tallies the control loop's scale-ups (warm-ups and reactivations) and
+// scale-downs (drains).
 func (c *Cluster) event(at simclock.Time, kind ScaleKind, replica int) {
 	c.scaleEvents = append(c.scaleEvents, ScaleEvent{At: at, Kind: kind, Replica: replica})
+	switch kind {
+	case ScaleWarmup, ScaleReactivate:
+		c.out.ScaleUps++
+	case ScaleDrain:
+		c.out.ScaleDowns++
+	}
 }
 
 // controlTick is one pass of the autoscaler control loop.
@@ -188,7 +196,7 @@ func (c *Cluster) scaleUp(now simclock.Time) {
 		// Backfill: the warm-up path resurrects a crash-dead engine — the
 		// replacement replica boots on the same slot.
 		target.eng.ClearCrashed()
-		c.chaos.backfills++
+		c.out.Backfills++
 	}
 	if c.cfg.Autoscale.Prewarm {
 		c.prewarm(target, now)
@@ -240,7 +248,7 @@ func (c *Cluster) prewarm(target *replica, now simclock.Time) {
 			break
 		}
 		if c.migratePin(cd.donor, target, cd.info.Session, fabric.ClassPrewarm, now,
-			&c.prewarms, &c.prewarmedTokens, nil, nil) {
+			&c.out.Prewarms, &c.out.PrewarmedTokens, nil, nil) {
 			shipped++
 		}
 	}
@@ -295,12 +303,12 @@ func (c *Cluster) drainPins(rep *replica, now simclock.Time) {
 		}
 		if dst == nil {
 			if rep.eng.DropPrefix(info.Session, now) {
-				c.drainDroppedPins++
+				c.out.DrainDroppedPins++
 			}
 			continue
 		}
 		if c.migratePin(rep, dst, info.Session, fabric.ClassDrain, now,
-			&c.drainMigrations, nil, nil, nil) {
+			&c.out.DrainMigrations, nil, nil, nil) {
 			planned[dst] += info.Pages
 		}
 	}
@@ -352,7 +360,7 @@ func (c *Cluster) migratePin(donor, target *replica, session int, class fabric.C
 		donor.outMigrations--
 		target.inMigrations--
 		if !target.eng.InstallMigratedPrefix(session, tokens, t) {
-			c.migrationDrops++
+			c.out.MigrationDrops++
 		}
 		c.migrationsInFlight--
 		if onDone != nil {

@@ -122,6 +122,7 @@ func TestAutoscaleBeatsFixedPools(t *testing.T) {
 	if auto.ScaleUps == 0 {
 		t.Fatal("the spike workload never triggered a scale-up")
 	}
+	checkOutcomeSums(t, auto)
 	if auto.Cluster.P99TTFT >= fixedSmall.Cluster.P99TTFT {
 		t.Errorf("autoscaled P99 TTFT %v >= fixed-small %v",
 			auto.Cluster.P99TTFT, fixedSmall.Cluster.P99TTFT)

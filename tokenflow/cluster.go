@@ -133,7 +133,8 @@ type ClusterConfig struct {
 	// recorder is sharded-safe: each shard records into its own sink and
 	// the streams merge deterministically, so every Obs layer — events,
 	// series, profile, attribution — exports byte-identically to the
-	// single-threaded run. 0 or 1 keeps the single-threaded loop.
+	// single-threaded run. 0 or 1 keeps the single-threaded loop;
+	// negative is an error.
 	Shards int
 
 	// Chaos injects faults on the virtual clock — replica crashes,
@@ -304,27 +305,13 @@ func (s *PrefixIndexSpec) indexSpec() *prefixindex.Spec {
 	}
 }
 
-// PrefixIndexStats reports the gateway index's end-of-run accounting.
-type PrefixIndexStats struct {
-	// Published counts every publication put on the wire (dropped ones
-	// included — they consumed fabric bytes); Dropped the subset lost in
-	// flight; Applied the subset absorbed into the index; Pending the
-	// publications still in flight when the run ended.
-	Published, Dropped, Applied, Pending int64
-	// Heartbeats counts applied digest publications.
-	Heartbeats int64
-	// AffinityHits counts indexed affinity decisions that stuck a session
-	// to its indexed holder; the four fallback counters classify the
-	// diversions (no holder indexed, digest too stale, no KV headroom,
-	// holder overloaded).
-	AffinityHits      int64
-	AffinityMisses    int64
-	StaleFallbacks    int64
-	HeadroomFallbacks int64
-	OverloadFallbacks int64
-	// Sessions is the distinct sessions indexed at the end of the run.
-	Sessions int64
-}
+// PrefixIndexStats reports the gateway index's end-of-run accounting: the
+// publication ledger (Published counts every publication put on the wire,
+// dropped ones included; Dropped, Applied and Pending partition it), the
+// applied Heartbeats, the indexed-affinity outcome counters (AffinityHits
+// and the four fallback classes), and the distinct Sessions indexed at the
+// end of the run.
+type PrefixIndexStats = prefixindex.Stats
 
 // TopologyKind selects the interconnect layout of the transfer fabric.
 type TopologyKind string
@@ -365,22 +352,17 @@ type TopologySpec struct {
 	SwitchGBps float64
 }
 
-// fabricSpec maps the public topology spec onto the internal fabric spec.
-func (s *TopologySpec) fabricSpec() (*fabric.Spec, error) {
+// fabricSpec maps the public topology spec onto the internal fabric spec;
+// the cluster validates it.
+func (s *TopologySpec) fabricSpec() *fabric.Spec {
 	if s == nil {
-		return nil, nil
-	}
-	switch s.Kind {
-	case "", TopologyFullMesh, TopologySharedNIC:
-	default:
-		return nil, fmt.Errorf("tokenflow: unknown topology kind %q (have %v)",
-			s.Kind, TopologyKinds())
+		return nil
 	}
 	return &fabric.Spec{
 		Kind:       fabric.Kind(s.Kind),
 		LinkGBps:   s.LinkGBps,
 		SwitchGBps: s.SwitchGBps,
-	}, nil
+	}
 }
 
 // AutoscalePolicy selects how the autoscaler decides scale actions.
@@ -583,6 +565,14 @@ type ImbalanceSample struct {
 	Imbalance float64
 }
 
+// ClusterOutcome is a cluster run's scalar outcome ledger — imbalance,
+// prefix-cache hits and residency, migrations, host-tier reloads,
+// autoscaling, gateway and chaos counters, forecast error, and the event
+// count — each field declared and documented once, on the simulator's own
+// ledger. ClusterResult embeds it, so every counter reads as a field of the
+// result (res.Migrations, res.Crashes).
+type ClusterOutcome = cluster.Outcome
+
 // ClusterResult reports a completed cluster simulation.
 type ClusterResult struct {
 	// Router is the policy that served the run.
@@ -596,126 +586,32 @@ type ClusterResult struct {
 	// Replicas lists per-replica results in replica order.
 	Replicas []ReplicaResult
 
-	// Imbalance is the peak-to-mean ratio of per-replica output tokens
-	// (1.0 = perfectly balanced).
-	Imbalance float64
+	// ClusterOutcome holds every scalar outcome counter of the run.
+	ClusterOutcome
 
 	// ImbalanceSeries samples the per-replica load imbalance over time
 	// (requires SampleEverySeconds).
 	ImbalanceSeries []ImbalanceSample
-
-	// PrefixHits counts requests admitted with a session prefix-cache hit;
-	// PrefixHitTokens is the prefill work those hits skipped.
-	PrefixHits      int64
-	PrefixHitTokens int64
-
-	// PrefixEvictions totals pinned prefixes evicted under memory pressure
-	// across replicas; PinnedPrefixPages the pages still pinned at the end
-	// of the run (prefix residency charged to the pools).
-	PrefixEvictions   int64
-	PinnedPrefixPages int
-
-	// Migrations counts cross-replica KV migrations; MigratedTokens the
-	// prefix tokens shipped over the interconnect; MigrationDrops installs
-	// the target replica rejected for lack of memory.
-	// MigrationsDeclined counts diverts where the "cost" policy judged the
-	// queued wire slower than recomputing and skipped the transfer.
-	Migrations         int64
-	MigratedTokens     int64
-	MigrationDrops     int64
-	MigrationsDeclined int64
-
-	// HostReloads / HostReloadTokens total the host-tier prefix cache
-	// reloads across replicas (evicted pins brought back over the
-	// host-to-device link instead of recomputed, charged inside TTFT);
-	// HostReloadFallbacks the arrivals whose recompute-vs-reload
-	// break-even declined the reload on a backlogged link;
-	// HostReloadDrops the reloads that paid the wire but could not
-	// install their pin when the transfer landed (memory pressure) and
-	// recomputed anyway.
-	HostReloads         int64
-	HostReloadTokens    int64
-	HostReloadFallbacks int64
-	HostReloadDrops     int64
-
-	// HostMirrorBytes totals the host-tier prefix-mirror footprint across
-	// replicas at the end of the run — the host memory still holding
-	// reloadable copies of evicted pins.
-	HostMirrorBytes int64
 
 	// Transfers is the fabric's per-class traffic ledger: every byte the
 	// run moved, split by purpose (sync, evict, load, reload, migrate,
 	// prewarm, drain).
 	Transfers []TransferClassStats
 
-	// Autoscaling outcome (zero / empty in a static cluster).
-	//
-	// GPUSeconds totals the simulated time replicas spent in service
-	// (warming, active, or draining) — the cost axis autoscaling trades
-	// against tail latency; a static cluster reports replicas × run time.
-	// WarmupStalls counts arrivals routed while a replica was still
-	// warming (capacity the pool had answered but could not serve yet).
-	// Prewarms / PrewarmedTokens total the pre-warm migrations seeding
-	// warming replicas; DrainMigrations / DrainDroppedPins account the
-	// pins draining replicas handed off or discarded.
-	ScaleUps, ScaleDowns int
-	ScaleEvents          []ScaleEvent
-	ReplicaSeries        []ReplicaCountSample
-	GPUSeconds           float64
-	WarmupStalls         int64
-	Prewarms             int64
-	PrewarmedTokens      int64
-	DrainMigrations      int64
-	DrainDroppedPins     int64
+	// ScaleEvents logs the lifecycle transitions the autoscaler drove and
+	// ReplicaSeries samples the per-state replica counts per control tick
+	// (both empty in a static cluster).
+	ScaleEvents   []ScaleEvent
+	ReplicaSeries []ReplicaCountSample
 
-	// Scale-to-zero gateway outcome (zero / empty without ScaleToZero).
-	//
-	// GatewayBuffered counts arrivals held while no replica was active;
-	// GatewayShed those dropped on a full gateway (they appear in no
-	// replica's results). GatewayDepthSeries samples the buffer depth per
-	// control tick.
-	GatewayBuffered    int64
-	GatewayShed        int64
+	// GatewayDepthSeries samples the scale-to-zero gateway buffer depth per
+	// control tick (empty without ScaleToZero).
 	GatewayDepthSeries []GatewaySample
-
-	// Chaos outcome (all zero without an active Config.Chaos).
-	//
-	// Crashes counts replica crash faults that hit a live replica;
-	// Retries the orphaned requests re-entered (re-routed to a survivor
-	// or re-buffered through the gateway); RetryFailures the requests
-	// that exhausted the retry budget and failed (they stay in the merged
-	// report, unfinished, with censored TTFT). Backfills counts crashed
-	// replicas the autoscaler resurrected through the warm-up path.
-	// Replications / ReplicatedBytes total the pin-redundancy traffic
-	// (proactive mirror copies plus post-crash re-pins) on the fabric's
-	// replicate class. Brownouts and LinkFlaps count the faults injected;
-	// MigrationsAborted the pin transfers a crash or flap tore off the
-	// wire.
-	Crashes           int64
-	Retries           int64
-	RetryFailures     int64
-	Backfills         int64
-	Replications      int64
-	ReplicatedBytes   int64
-	Brownouts         int64
-	LinkFlaps         int64
-	MigrationsAborted int64
-
-	// ForecastError is the predictive policy's mean absolute arrival-rate
-	// forecast error (req/s) over ForecastSamples scored forecasts; both
-	// zero for non-forecasting policies.
-	ForecastError   float64
-	ForecastSamples int
 
 	// PrefixIndex is the gateway index's accounting when the run
 	// maintained one (Config.PrefixIndex or an indexed Router); nil
 	// otherwise.
 	PrefixIndex *PrefixIndexStats
-
-	// EventsProcessed totals the simulator events fired across every
-	// clock of the run — a determinism witness: a sharded run fires
-	// exactly the events of its single-threaded twin.
-	EventsProcessed uint64
 
 	// Obs holds the flight-recorder capture when the run was instrumented
 	// (Config.Obs); nil otherwise. Setting it aside, an instrumented
@@ -854,16 +750,6 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	switch cfg.MigrationPolicy {
-	case "", MigrateAlways, MigrateCost:
-	default:
-		return nil, fmt.Errorf("tokenflow: unknown migration policy %q (have %v)",
-			cfg.MigrationPolicy, MigrationPolicies())
-	}
-	topoSpec, err := cfg.Topology.fabricSpec()
-	if err != nil {
-		return nil, err
-	}
 	chaosSpec, err := cfg.Chaos.chaosSpec()
 	if err != nil {
 		return nil, err
@@ -876,7 +762,7 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 		Migrate:          cfg.Migrate,
 		MigrationPolicy:  cluster.MigrationPolicy(cfg.MigrationPolicy),
 		InterconnectGBps: cfg.InterconnectGBps,
-		Topology:         topoSpec,
+		Topology:         cfg.Topology.fabricSpec(),
 		Autoscale:        asCfg,
 		PrefixIndex:      cfg.PrefixIndex.indexSpec(),
 		Shards:           cfg.Shards,
@@ -909,55 +795,8 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 		Router: cfg.Router,
 		Cluster: convertParts(cfg.System, res.Report, res.Requests, res.Samples,
 			res.Makespan, res.TimedOut),
-		Imbalance:       res.Imbalance,
-		PrefixHits:      res.PrefixHits,
-		PrefixHitTokens: res.PrefixHitTokens,
-		Migrations:      res.Migrations,
-		MigratedTokens:  res.MigratedTokens,
-		MigrationDrops:  res.MigrationDrops,
-
-		MigrationsDeclined:  res.MigrationsDeclined,
-		HostReloads:         res.HostReloads,
-		HostReloadTokens:    res.HostReloadTokens,
-		HostReloadFallbacks: res.HostReloadFallbacks,
-		HostReloadDrops:     res.HostReloadDrops,
-
-		GPUSeconds:       res.GPUSeconds,
-		WarmupStalls:     res.WarmupStalls,
-		Prewarms:         res.Prewarms,
-		PrewarmedTokens:  res.PrewarmedTokens,
-		DrainMigrations:  res.DrainMigrations,
-		DrainDroppedPins: res.DrainDroppedPins,
-
-		GatewayBuffered: res.GatewayBuffered,
-		GatewayShed:     res.GatewayShed,
-
-		Crashes:           res.Crashes,
-		Retries:           res.Retries,
-		RetryFailures:     res.RetryFailures,
-		Backfills:         res.Backfills,
-		Replications:      res.Replications,
-		ReplicatedBytes:   res.ReplicatedBytes,
-		Brownouts:         res.Brownouts,
-		LinkFlaps:         res.LinkFlaps,
-		MigrationsAborted: res.MigrationsAborted,
-
-		ForecastError:   res.ForecastError,
-		ForecastSamples: res.ForecastSamples,
-		EventsProcessed: res.EventsProcessed,
-	}
-	if st := res.PrefixIndex; st != nil {
-		out.PrefixIndex = &PrefixIndexStats{
-			Published: st.Published, Dropped: st.Dropped,
-			Applied: st.Applied, Pending: st.Pending,
-			Heartbeats:        st.Heartbeats,
-			AffinityHits:      st.AffinityHits,
-			AffinityMisses:    st.AffinityMisses,
-			StaleFallbacks:    st.StaleFallbacks,
-			HeadroomFallbacks: st.HeadroomFallbacks,
-			OverloadFallbacks: st.OverloadFallbacks,
-			Sessions:          st.Sessions,
-		}
+		ClusterOutcome: res.Outcome,
+		PrefixIndex:    res.PrefixIndex,
 	}
 	for _, p := range res.GatewaySeries {
 		out.GatewayDepthSeries = append(out.GatewayDepthSeries, GatewaySample{
@@ -981,15 +820,6 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 		out.ScaleEvents = append(out.ScaleEvents, ScaleEvent{
 			AtSeconds: ev.At.Seconds(), Kind: string(ev.Kind), Replica: ev.Replica,
 		})
-		// A cancelled drain restores capacity just like a warm-up does, so
-		// reactivations count as scale-ups — the up/down totals then match
-		// the control loop's actual activity under flapping load.
-		switch ev.Kind {
-		case cluster.ScaleWarmup, cluster.ScaleReactivate:
-			out.ScaleUps++
-		case cluster.ScaleDrain:
-			out.ScaleDowns++
-		}
 	}
 	for _, p := range res.ReplicaSeries {
 		out.ReplicaSeries = append(out.ReplicaSeries, ReplicaCountSample{
@@ -1014,9 +844,6 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 			GPUSeconds:        rs.GPUSeconds,
 			Result:            convert(cfg.System, rs.Result),
 		})
-		out.PrefixEvictions += kv.PrefixEvictions
-		out.PinnedPrefixPages += kv.PinnedPages
-		out.HostMirrorBytes += kv.HostMirrorBytes
 	}
 	if res.Obs != nil {
 		out.Obs = newObsCapture(res.Obs, "cluster-"+string(cfg.Router), wall)

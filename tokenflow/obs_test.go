@@ -223,16 +223,45 @@ func TestObsExportsAreValid(t *testing.T) {
 		}
 	}
 
-	// The host-mirror report fields agree across levels.
-	var sum int64
+	checkOutcomeSums(t, res)
+}
+
+// checkOutcomeSums asserts that the cluster-level outcome counters summed
+// from per-replica state agree with the per-replica results, and that the
+// scale-up/down tallies agree with the scale-event log.
+func checkOutcomeSums(t *testing.T, res *tokenflow.ClusterResult) {
+	t.Helper()
+	var mirrorBytes, evictions int64
+	var pinned int
 	for _, rr := range res.Replicas {
 		if (rr.HostMirrorBytes > 0) != (rr.HostMirroredPages > 0) {
 			t.Errorf("replica %d: mirror bytes %d vs pages %d disagree",
 				rr.ID, rr.HostMirrorBytes, rr.HostMirroredPages)
 		}
-		sum += rr.HostMirrorBytes
+		mirrorBytes += rr.HostMirrorBytes
+		evictions += rr.PrefixEvictions
+		pinned += rr.PinnedPrefixPages
 	}
-	if res.HostMirrorBytes != sum {
-		t.Errorf("cluster HostMirrorBytes %d != per-replica sum %d", res.HostMirrorBytes, sum)
+	if res.HostMirrorBytes != mirrorBytes {
+		t.Errorf("cluster HostMirrorBytes %d != per-replica sum %d", res.HostMirrorBytes, mirrorBytes)
+	}
+	if res.PrefixEvictions != evictions {
+		t.Errorf("cluster PrefixEvictions %d != per-replica sum %d", res.PrefixEvictions, evictions)
+	}
+	if res.PinnedPrefixPages != pinned {
+		t.Errorf("cluster PinnedPrefixPages %d != per-replica sum %d", res.PinnedPrefixPages, pinned)
+	}
+	var ups, downs int
+	for _, ev := range res.ScaleEvents {
+		switch ev.Kind {
+		case "warmup", "reactivate":
+			ups++
+		case "drain":
+			downs++
+		}
+	}
+	if res.ScaleUps != ups || res.ScaleDowns != downs {
+		t.Errorf("ScaleUps/ScaleDowns %d/%d, scale-event log tallies %d/%d",
+			res.ScaleUps, res.ScaleDowns, ups, downs)
 	}
 }
