@@ -265,7 +265,7 @@ func main() {
 		migrate  = flag.Bool("migrate", false, "enable cross-replica KV migration over the interconnect")
 		migPol   = flag.String("migration-policy", "always", "always | cost (cost declines migrations the wire would lose)")
 		topology = flag.String("topology", "full-mesh", "interconnect layout: full-mesh | shared-nic")
-		linkBW   = flag.Float64("link-gbps", 25, "interconnect link bandwidth (GB/s): per pair (full-mesh) or per NIC direction (shared-nic)")
+		linkBW   = flag.Float64("link-gbps", 0, "interconnect link bandwidth (GB/s; 0 selects 25): per pair (full-mesh) or per NIC direction (shared-nic)")
 		switchBW = flag.Float64("switch-gbps", 0, "shared-nic switch stage bandwidth (GB/s); 0 = non-blocking")
 		hostCach = flag.Bool("host-cache", false, "host-tier prefix cache: evicted session pins reload over h2d instead of recomputing")
 		hostPage = flag.Int("host-cache-pages", 0, "cap the host-tier prefix cache at this many mirrored pages (0 = unbounded)")
@@ -449,7 +449,8 @@ func main() {
 			fmt.Printf("indexed routing     %d affinity hits, %d misses, %d stale / %d headroom / %d overload fallbacks\n",
 				st.AffinityHits, st.AffinityMisses, st.StaleFallbacks, st.HeadroomFallbacks, st.OverloadFallbacks)
 		}
-		fmt.Printf("transfer fabric     %s, %.1f GB/s links\n", *topology, *linkBW)
+		topo, _ := ccfg.Topology.Normalize() // the run already accepted it
+		fmt.Printf("transfer fabric     %s, %.1f GB/s links\n", topo.Kind, topo.LinkGBps)
 		for _, cs := range cres.Transfers {
 			if cs.Transfers == 0 {
 				continue

@@ -59,37 +59,47 @@ func TestValidate(t *testing.T) {
 		{"negative-redundancy", &Spec{Redundancy: -1}, 2, false},
 	}
 	for _, c := range cases {
-		err := c.spec.Validate(c.replicas)
+		_, err := c.spec.Normalize(c.replicas)
 		if (err == nil) != c.ok {
-			t.Errorf("%s: Validate(%d) = %v, want ok=%v", c.name, c.replicas, err, c.ok)
+			t.Errorf("%s: Normalize(%d) = %v, want ok=%v", c.name, c.replicas, err, c.ok)
 		}
 	}
 }
 
+// TestDefaults pins the recovery-knob defaults Normalize fills: zero and
+// negative knobs resolve to the defaults, explicit ones to themselves, a
+// nil spec stays nil, and normalizing twice changes nothing.
 func TestDefaults(t *testing.T) {
-	zero := &Spec{}
-	if got := zero.RetryMaxOrDefault(); got != DefaultRetryMax {
-		t.Errorf("RetryMaxOrDefault() = %d, want %d", got, DefaultRetryMax)
-	}
-	if got := zero.RetryBackoffOrDefault(); got != DefaultRetryBackoff {
-		t.Errorf("RetryBackoffOrDefault() = %v, want %v", got, DefaultRetryBackoff)
-	}
-	if got := zero.DetectDelayOrDefault(); got != DefaultDetectDelay {
-		t.Errorf("DetectDelayOrDefault() = %v, want %v", got, DefaultDetectDelay)
-	}
-	if got := zero.ReplicateEveryOrDefault(); got != DefaultReplicateEvery {
-		t.Errorf("ReplicateEveryOrDefault() = %v, want %v", got, DefaultReplicateEvery)
-	}
-	if got := zero.ReplicateConcurrencyOrDefault(); got != DefaultReplicateConcurrency {
-		t.Errorf("ReplicateConcurrencyOrDefault() = %d, want %d", got, DefaultReplicateConcurrency)
-	}
-	set := &Spec{RetryMax: 7, RetryBackoff: time.Second, DetectDelay: 2 * time.Second,
+	defaults := Spec{RetryMax: DefaultRetryMax, RetryBackoff: DefaultRetryBackoff,
+		DetectDelay: DefaultDetectDelay, ReplicateEvery: DefaultReplicateEvery,
+		ReplicateConcurrency: DefaultReplicateConcurrency}
+	set := Spec{RetryMax: 7, RetryBackoff: time.Second, DetectDelay: 2 * time.Second,
 		ReplicateEvery: 3 * time.Second, ReplicateConcurrency: 9}
-	if set.RetryMaxOrDefault() != 7 || set.RetryBackoffOrDefault() != time.Second ||
-		set.DetectDelayOrDefault() != 2*time.Second ||
-		set.ReplicateEveryOrDefault() != 3*time.Second ||
-		set.ReplicateConcurrencyOrDefault() != 9 {
-		t.Error("explicit recovery knobs must resolve to themselves")
+	cases := []struct {
+		name string
+		in   Spec
+		want Spec
+	}{
+		{"zero", Spec{}, defaults},
+		{"negative", Spec{RetryMax: -1, RetryBackoff: -time.Second, DetectDelay: -1,
+			ReplicateEvery: -1, ReplicateConcurrency: -2}, defaults},
+		{"explicit", set, set},
+	}
+	for _, c := range cases {
+		got, err := c.in.Normalize(2)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if !reflect.DeepEqual(*got, c.want) {
+			t.Errorf("%s: Normalize = %+v, want %+v", c.name, *got, c.want)
+		}
+		again, err := got.Normalize(2)
+		if err != nil || !reflect.DeepEqual(again, got) {
+			t.Errorf("%s: Normalize is not idempotent: %+v, %v", c.name, again, err)
+		}
+	}
+	if got, err := (*Spec)(nil).Normalize(2); got != nil || err != nil {
+		t.Errorf("nil spec normalized to %+v, %v", got, err)
 	}
 }
 
@@ -118,7 +128,7 @@ func TestResolvedDeterministic(t *testing.T) {
 	}
 	// The resolved plan must pass its own validation — the generator may
 	// not draw faults the scripted path would reject.
-	if err := (&Spec{Faults: a}).Validate(replicas); err != nil {
+	if _, err := (&Spec{Faults: a}).Normalize(replicas); err != nil {
 		t.Errorf("resolved plan fails validation: %v", err)
 	}
 	// At most one crash in the whole plan: the pool must keep survivors

@@ -112,10 +112,10 @@ type chaosRuntime struct {
 	flights  []*flight
 }
 
-// initChaos validates the spec and arms the runtime when it is active.
+// initChaos normalizes the spec and arms the runtime when it is active.
 func (c *Cluster) initChaos() error {
-	spec := c.cfg.Chaos
-	if err := spec.Validate(len(c.replicas)); err != nil {
+	spec, err := c.cfg.Chaos.Normalize(len(c.replicas))
+	if err != nil {
 		return err
 	}
 	if !spec.Active() {
@@ -154,7 +154,7 @@ func (c *Cluster) scheduleChaos() {
 		}
 	}
 	if c.chaos.spec.Redundancy > 1 {
-		every := c.chaos.spec.ReplicateEveryOrDefault()
+		every := c.chaos.spec.ReplicateEvery
 		var tick func(now simclock.Time)
 		tick = func(now simclock.Time) {
 			c.replicateTick(now)
@@ -202,8 +202,8 @@ func (c *Cluster) injectCrash(rep *replica, now simclock.Time) {
 		c.abortFlight(fl, now)
 	}
 
-	detect := now.Add(c.chaos.spec.DetectDelayOrDefault())
-	backoff := c.chaos.spec.RetryBackoffOrDefault()
+	detect := now.Add(c.chaos.spec.DetectDelay)
+	backoff := c.chaos.spec.RetryBackoff
 	for _, r := range orphans {
 		attempt := r.Retries + 1
 		c.scheduleRetry(r, attempt, detect.Add(retryDelay(backoff, attempt)))
@@ -273,10 +273,10 @@ func (c *Cluster) retryNow(r *request.Request, attempt int, now simclock.Time) {
 				return
 			}
 		}
-		if attempt < spec.RetryMaxOrDefault() {
+		if attempt < spec.RetryMax {
 			// No capacity yet (a double crash before backfill lands here):
 			// burn one attempt and back off again.
-			c.scheduleRetry(r, attempt+1, now.Add(retryDelay(spec.RetryBackoffOrDefault(), attempt+1)))
+			c.scheduleRetry(r, attempt+1, now.Add(retryDelay(spec.RetryBackoff, attempt+1)))
 			return
 		}
 		r.ResetForRetry(c.clock)
@@ -431,9 +431,9 @@ func (c *Cluster) abortFlight(fl *flight, now simclock.Time) {
 		return
 	}
 	attempt := fl.req.Retries + 1
-	detect := now.Add(c.chaos.spec.DetectDelayOrDefault())
+	detect := now.Add(c.chaos.spec.DetectDelay)
 	c.scheduleRetry(fl.req, attempt,
-		detect.Add(retryDelay(c.chaos.spec.RetryBackoffOrDefault(), attempt)))
+		detect.Add(retryDelay(c.chaos.spec.RetryBackoff, attempt)))
 }
 
 // startRepins drains the post-crash re-pin queue under the replication
@@ -441,7 +441,7 @@ func (c *Cluster) abortFlight(fl *flight, now simclock.Time) {
 // its mirror, over that replica's own h2d link on the replicate class.
 // Completions free a slot and pull the next job.
 func (c *Cluster) startRepins(now simclock.Time) {
-	conc := c.chaos.spec.ReplicateConcurrencyOrDefault()
+	conc := c.chaos.spec.ReplicateConcurrency
 	for c.chaos.replicationsInFlight < conc && len(c.chaos.repinQueue) > 0 {
 		job := c.chaos.repinQueue[0]
 		c.chaos.repinQueue = c.chaos.repinQueue[1:]
@@ -471,7 +471,7 @@ func (c *Cluster) startRepins(now simclock.Time) {
 // at least as large are skipped, as are pairs currently flapped down.
 func (c *Cluster) replicateTick(now simclock.Time) {
 	spec := c.chaos.spec
-	conc := spec.ReplicateConcurrencyOrDefault()
+	conc := spec.ReplicateConcurrency
 	for _, src := range c.replicas {
 		if src.eng.Crashed() {
 			continue

@@ -87,7 +87,8 @@ type Config struct {
 	// exports are byte-identical to the single-threaded run.
 	Shards int
 
-	// MaxSimTime aborts runaway simulations (default 4 simulated hours).
+	// MaxSimTime aborts runaway simulations (default 4 simulated hours;
+	// negative is an error).
 	MaxSimTime time.Duration
 
 	// Migrate enables cross-replica KV migration: when the policy routes a
@@ -102,15 +103,11 @@ type Config struct {
 	// declines when the wire loses.
 	MigrationPolicy MigrationPolicy
 
-	// InterconnectGBps is the interconnect link bandwidth in GB/s (default
-	// 25, RDMA-class): per directed pair under the default full mesh, per
-	// NIC direction under a shared-NIC Topology.
-	InterconnectGBps float64
-
-	// Topology selects the interconnect layout. Nil selects the full mesh
-	// of dedicated per-pair links at InterconnectGBps — the configuration
-	// earlier revisions hard-coded, under which no two transfers between
-	// different replica pairs ever contend.
+	// Topology selects the interconnect layout and its link bandwidth
+	// (fabric.Spec.Normalize fills the defaults). Nil selects the full mesh
+	// of dedicated per-pair links at 25 GB/s — the configuration earlier
+	// revisions hard-coded, under which no two transfers between different
+	// replica pairs ever contend.
 	Topology *fabric.Spec
 
 	// Autoscale enables the dynamic replica lifecycle: the cluster builds
@@ -155,8 +152,9 @@ type AutoscaleConfig struct {
 	Policy autoscale.Policy
 
 	// Min and Max bound the in-service replica set (defaults 1 and the
-	// Config's Replicas). Initial is the active count at t=0 (default
-	// Min).
+	// larger of the Config's Replicas and Min). Initial is the active count
+	// at t=0 (default Min). Negative values and an explicit Max below Min
+	// are errors.
 	Min, Max, Initial int
 
 	// ScaleToZero forces Min to 0 and fronts the cluster with a gateway
@@ -176,7 +174,8 @@ type AutoscaleConfig struct {
 	P99Window time.Duration
 
 	// Warmup is the latency a scale-up pays before the new replica
-	// accepts traffic — model load plus allocator init (default 8s).
+	// accepts traffic — model load plus allocator init (default 8s;
+	// negative means instant).
 	Warmup time.Duration
 
 	// ControlEvery is the control-loop tick (default 1s).
@@ -190,44 +189,11 @@ type AutoscaleConfig struct {
 
 	// PrewarmTopK caps the pins shipped per pre-warm (default 8).
 	PrewarmTopK int
-}
 
-func (a *AutoscaleConfig) withDefaults(replicas int) *AutoscaleConfig {
-	out := *a
-	if out.ScaleToZero {
-		out.Min = 0
-	} else if out.Min == 0 {
-		out.Min = 1
-	}
-	if out.Max == 0 {
-		out.Max = replicas
-	}
-	if out.Max < out.Min {
-		out.Max = out.Min
-	}
-	if out.Max < 1 {
-		out.Max = 1
-	}
-	if out.Initial == 0 {
-		out.Initial = out.Min
-	}
-	if out.GatewayDepth == 0 {
-		out.GatewayDepth = 512
-	}
-	if out.Warmup == 0 {
-		out.Warmup = 8 * time.Second
-	} else if out.Warmup < 0 {
-		out.Warmup = 0 // negative means "free warm-up", not a clock error
-	}
-	// The control loop reschedules itself every ControlEvery; zero or
-	// negative would spin the clock in place, so both select the default.
-	if out.ControlEvery <= 0 {
-		out.ControlEvery = time.Second
-	}
-	if out.PrewarmTopK == 0 {
-		out.PrewarmTopK = 8
-	}
-	return &out
+	// normalized marks a config Normalize produced, whose zero Warmup is
+	// a resolved instant warm-up rather than a request for the default —
+	// what keeps Normalize idempotent.
+	normalized bool
 }
 
 // MigrationPolicy selects how cross-replica migrations are committed.
@@ -250,35 +216,108 @@ func MigrationPolicies() []MigrationPolicy {
 	return []MigrationPolicy{MigrateAlways, MigrateCost}
 }
 
-func (c Config) withDefaults() Config {
+// Normalize returns the config with every zero field set to its default,
+// the derived fields resolved (Autoscale.Max from the replica count,
+// Replicas from Autoscale.Max, Shards clamped to Replicas, Topology through
+// fabric.Spec.Normalize), and every field validated. It is the config's one
+// defaulting path: New runs it, and callers that must know the resolved
+// pool size before building engines run it themselves. It never writes
+// through the caller's Autoscale or Topology pointers, and it is
+// idempotent.
+func (c Config) Normalize() (Config, error) {
 	if c.Replicas == 0 {
 		c.Replicas = 1
 	}
 	if c.MaxSimTime == 0 {
 		c.MaxSimTime = 4 * time.Hour
 	}
-	if c.InterconnectGBps == 0 {
-		c.InterconnectGBps = 25
-	}
 	if c.MigrationPolicy == "" {
 		c.MigrationPolicy = MigrateAlways
 	}
-	spec := fabric.Spec{Kind: fabric.FullMesh, LinkGBps: c.InterconnectGBps}
+	switch {
+	case c.Replicas < 1:
+		return c, fmt.Errorf("cluster: replica count %d must be >= 1", c.Replicas)
+	case c.Shards < 0:
+		return c, fmt.Errorf("cluster: shard count %d must be >= 0", c.Shards)
+	case c.MaxSimTime < 0:
+		return c, fmt.Errorf("cluster: negative MaxSimTime %v", c.MaxSimTime)
+	case c.Policy == nil:
+		return c, fmt.Errorf("cluster: nil routing policy")
+	case c.MigrationPolicy != MigrateAlways && c.MigrationPolicy != MigrateCost:
+		return c, fmt.Errorf("cluster: unknown migration policy %q (have %v)",
+			c.MigrationPolicy, MigrationPolicies())
+	}
+	var topo fabric.Spec
 	if c.Topology != nil {
-		spec = *c.Topology
-		if spec.Kind == "" {
-			spec.Kind = fabric.FullMesh
-		}
-		if spec.LinkGBps == 0 {
-			spec.LinkGBps = c.InterconnectGBps
-		}
+		topo = *c.Topology
 	}
-	c.Topology = &spec
+	topo, err := topo.Normalize()
+	if err != nil {
+		return c, err
+	}
+	c.Topology = &topo
 	if c.Autoscale != nil {
-		c.Autoscale = c.Autoscale.withDefaults(c.Replicas)
-		c.Replicas = c.Autoscale.Max
+		a, err := c.Autoscale.normalize(c.Replicas)
+		if err != nil {
+			return c, err
+		}
+		c.Autoscale = &a
+		c.Replicas = a.Max
 	}
-	return c
+	if c.Shards > c.Replicas {
+		c.Shards = c.Replicas
+	}
+	return c, nil
+}
+
+// normalize resolves the autoscale defaults against the configured replica
+// count: Min defaults to 1 (forced to 0 under ScaleToZero), Max to the
+// larger of replicas and Min, Initial to Min.
+func (a AutoscaleConfig) normalize(replicas int) (AutoscaleConfig, error) {
+	if a.ScaleToZero {
+		a.Min = 0
+	} else if a.Min == 0 {
+		a.Min = 1
+	}
+	switch {
+	case a.Policy == nil:
+		return a, fmt.Errorf("cluster: autoscaling enabled with nil policy")
+	case a.Min < 0:
+		return a, fmt.Errorf("cluster: autoscale min %d must be >= 1 (set ScaleToZero for min 0)", a.Min)
+	case a.Max < 0:
+		return a, fmt.Errorf("cluster: autoscale max %d must be >= 0 (0 selects the replica count)", a.Max)
+	case a.Initial < 0:
+		return a, fmt.Errorf("cluster: autoscale initial %d must be >= 0 (0 selects min)", a.Initial)
+	case a.Max > 0 && a.Max < a.Min:
+		return a, fmt.Errorf("cluster: autoscale min %d exceeds max %d", a.Min, a.Max)
+	}
+	if a.Max == 0 {
+		a.Max = max(replicas, a.Min)
+	}
+	if a.Initial == 0 {
+		a.Initial = a.Min
+	}
+	if a.Initial < a.Min || a.Initial > a.Max {
+		return a, fmt.Errorf("cluster: autoscale initial %d outside [%d, %d]", a.Initial, a.Min, a.Max)
+	}
+	if a.GatewayDepth == 0 {
+		a.GatewayDepth = 512
+	}
+	if a.Warmup == 0 && !a.normalized {
+		a.Warmup = 8 * time.Second
+	} else if a.Warmup < 0 {
+		a.Warmup = 0 // negative means "free warm-up", not a clock error
+	}
+	// The control loop reschedules itself every ControlEvery; zero or
+	// negative would spin the clock in place, so both select the default.
+	if a.ControlEvery <= 0 {
+		a.ControlEvery = time.Second
+	}
+	if a.PrewarmTopK == 0 {
+		a.PrewarmTopK = 8
+	}
+	a.normalized = true
+	return a, nil
 }
 
 // BuildEngine constructs replica i's engine on the shared clock and the
@@ -685,38 +724,12 @@ func (c *Cluster) profFor(replica int) *obs.Profiler {
 // autoscaling, Autoscale.Max engines of which Autoscale.Initial start
 // active).
 func New(cfg Config, build BuildEngine) (*Cluster, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Replicas < 1 {
-		return nil, fmt.Errorf("cluster: replica count %d must be >= 1", cfg.Replicas)
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("cluster: shard count %d must be >= 0", cfg.Shards)
-	}
-	if cfg.Policy == nil {
-		return nil, fmt.Errorf("cluster: nil routing policy")
+	cfg, err := cfg.Normalize()
+	if err != nil {
+		return nil, err
 	}
 	if build == nil {
 		return nil, fmt.Errorf("cluster: nil engine builder")
-	}
-	if a := cfg.Autoscale; a != nil {
-		switch {
-		case a.Policy == nil:
-			return nil, fmt.Errorf("cluster: autoscaling enabled with nil policy")
-		case !a.ScaleToZero && a.Min < 1:
-			return nil, fmt.Errorf("cluster: autoscale min %d must be >= 1 (set ScaleToZero for min 0)", a.Min)
-		case a.Initial < a.Min || a.Initial > a.Max:
-			return nil, fmt.Errorf("cluster: autoscale initial %d outside [%d, %d]",
-				a.Initial, a.Min, a.Max)
-		}
-	}
-	switch cfg.MigrationPolicy {
-	case MigrateAlways, MigrateCost:
-	default:
-		return nil, fmt.Errorf("cluster: unknown migration policy %q (have %v)",
-			cfg.MigrationPolicy, MigrationPolicies())
-	}
-	if cfg.Shards > cfg.Replicas {
-		cfg.Shards = cfg.Replicas
 	}
 	topo, err := fabric.NewTopology(cfg.Replicas, *cfg.Topology)
 	if err != nil {

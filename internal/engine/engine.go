@@ -87,7 +87,8 @@ type Config struct {
 	// QoS parameterizes the report metrics; zero value selects defaults.
 	QoS metrics.QoSParams
 
-	// MaxSimTime aborts runaway simulations (default 4 simulated hours).
+	// MaxSimTime aborts runaway simulations (default 4 simulated hours;
+	// negative is an error).
 	MaxSimTime time.Duration
 
 	// PrefixCacheFraction caps the session prefix cache as a share of KV
@@ -153,6 +154,9 @@ func (c Config) Validate() error {
 	}
 	if c.MemFraction < 0 || c.MemFraction > 1 {
 		return fmt.Errorf("engine: mem fraction %v out of range", c.MemFraction)
+	}
+	if c.MaxSimTime < 0 {
+		return fmt.Errorf("engine: negative MaxSimTime %v", c.MaxSimTime)
 	}
 	return nil
 }

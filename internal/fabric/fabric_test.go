@@ -17,13 +17,30 @@ func mustTopo(t *testing.T, replicas int, spec Spec) *Topology {
 	return topo
 }
 
+// TestSpecValidate pins Spec.Normalize, the spec's one defaulting and
+// validation path: zero fields resolve to the defaults, explicit values to
+// themselves, normalizing twice changes nothing, and bad layouts fail.
 func TestSpecValidate(t *testing.T) {
+	for _, c := range []struct{ in, want Spec }{
+		{Spec{}, Spec{Kind: FullMesh, LinkGBps: 25}},
+		{Spec{Kind: SharedNIC}, Spec{Kind: SharedNIC, LinkGBps: 25}},
+		{Spec{LinkGBps: 0.5}, Spec{Kind: FullMesh, LinkGBps: 0.5}},
+		{Spec{Kind: SharedNIC, LinkGBps: 10, SwitchGBps: 40}, Spec{Kind: SharedNIC, LinkGBps: 10, SwitchGBps: 40}},
+	} {
+		got, err := c.in.Normalize()
+		if err != nil || got != c.want {
+			t.Errorf("Normalize(%+v) = %+v, %v; want %+v", c.in, got, err, c.want)
+		}
+		if again, err := got.Normalize(); err != nil || again != got {
+			t.Errorf("Normalize is not idempotent on %+v: %+v, %v", got, again, err)
+		}
+	}
 	for _, bad := range []Spec{
 		{Kind: "ring", LinkGBps: 1},
 		{Kind: FullMesh, LinkGBps: -1},
 		{Kind: SharedNIC, LinkGBps: 1, SwitchGBps: -2},
 	} {
-		if bad.Validate() == nil {
+		if _, err := bad.Normalize(); err == nil {
 			t.Errorf("spec %+v should fail", bad)
 		}
 	}

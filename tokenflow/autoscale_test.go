@@ -90,6 +90,28 @@ func TestAutoscaleMinOverMaxErrors(t *testing.T) {
 	}
 }
 
+// TestScaleToZeroIgnoresMinReplicas: ScaleToZero forces MinReplicas to 0,
+// so a MinReplicas above the layout neither grows the pool nor collides
+// with an explicit MaxReplicas — both specs build the 2-replica layout.
+func TestScaleToZeroIgnoresMinReplicas(t *testing.T) {
+	w := tokenflow.SessionWorkload(5, 30, 20, 9)
+	for _, spec := range []tokenflow.AutoscaleSpec{
+		{ScaleToZero: true, MinReplicas: 3},
+		{ScaleToZero: true, MinReplicas: 3, MaxReplicas: 2},
+	} {
+		spec := spec
+		res := runCluster(t, tokenflow.ClusterConfig{
+			Config:    tokenflow.Config{GPU: "RTX-4090", Model: "Llama3-8B"},
+			Replicas:  2,
+			Router:    tokenflow.RouterLeastQueue,
+			Autoscale: &spec,
+		}, w)
+		if got := len(res.Replicas); got != 2 {
+			t.Errorf("%+v built a %d-replica pool, want the 2-replica layout", spec, got)
+		}
+	}
+}
+
 // TestAutoscaleBeatsFixedPools is the headline trade: under the spike
 // workload, the autoscaled pool with KV pre-warming must beat the fixed
 // small pool on P99 TTFT (it adds capacity when spikes land) and the fixed

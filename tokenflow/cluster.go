@@ -98,18 +98,13 @@ type ClusterConfig struct {
 	// prefix recompute time and skips the migration when the wire loses.
 	MigrationPolicy MigrationPolicy
 
-	// InterconnectGBps is the interconnect link bandwidth in GB/s (default
-	// 25, RDMA-class): per directed pair under the default full mesh, per
-	// NIC direction under a shared-NIC Topology. Used with Migrate and
-	// with autoscaling (pre-warm and drain hand-off travel the same
-	// fabric).
-	InterconnectGBps float64
-
-	// Topology selects the interconnect layout of the transfer fabric.
-	// Nil keeps the full mesh of dedicated per-pair links at
-	// InterconnectGBps, under which transfers between different replica
-	// pairs never contend — the configuration earlier revisions
-	// hard-coded.
+	// Topology selects the interconnect layout of the transfer fabric and
+	// its link bandwidth, used with Migrate and with autoscaling (pre-warm
+	// and drain hand-off travel the same fabric). Nil keeps the full mesh of
+	// dedicated per-pair links at 25 GB/s, under which transfers between
+	// different replica pairs never contend — the configuration earlier
+	// revisions hard-coded. To change only the bandwidth, set
+	// &TopologySpec{LinkGBps: x}.
 	Topology *TopologySpec
 
 	// Autoscale enables SLO-driven replica autoscaling: a control loop on
@@ -243,23 +238,21 @@ func (s *ChaosSpec) chaosSpec() (*chaos.Spec, error) {
 }
 
 // MigrationPolicy selects how cross-replica KV migrations are committed.
-type MigrationPolicy string
+type MigrationPolicy = cluster.MigrationPolicy
 
 // Migration policies.
 const (
 	// MigrateAlways ships a pinned prefix on every divert that finds a
 	// better donor, regardless of interconnect backlog.
-	MigrateAlways MigrationPolicy = "always"
+	MigrateAlways = cluster.MigrateAlways
 	// MigrateCost prices the queued transfer on the real topology against
 	// the target replica's estimated prefix recompute time and declines
 	// migrations the wire would lose.
-	MigrateCost MigrationPolicy = "cost"
+	MigrateCost = cluster.MigrateCost
 )
 
 // MigrationPolicies lists the migration policies.
-func MigrationPolicies() []MigrationPolicy {
-	return []MigrationPolicy{MigrateAlways, MigrateCost}
-}
+func MigrationPolicies() []MigrationPolicy { return cluster.MigrationPolicies() }
 
 // PrefixIndexSpec configures the gateway's event-published prefix index:
 // how stale the routing view is allowed to get. The zero value is the
@@ -314,56 +307,32 @@ func (s *PrefixIndexSpec) indexSpec() *prefixindex.Spec {
 type PrefixIndexStats = prefixindex.Stats
 
 // TopologyKind selects the interconnect layout of the transfer fabric.
-type TopologyKind string
+type TopologyKind = fabric.Kind
 
 // Interconnect layouts.
 const (
 	// TopologyFullMesh: a dedicated link per directed replica pair — no
 	// contention between different pairs (the degenerate default).
-	TopologyFullMesh TopologyKind = "full-mesh"
+	TopologyFullMesh = fabric.FullMesh
 	// TopologySharedNIC: one egress and one ingress NIC link per replica,
 	// behind an optional shared switch. Concurrent migrations, pre-warms,
 	// and drain hand-offs that share an endpoint serialize.
-	TopologySharedNIC TopologyKind = "shared-nic"
+	TopologySharedNIC = fabric.SharedNIC
 )
 
 // TopologyKinds lists the interconnect layouts.
-func TopologyKinds() []TopologyKind {
-	return []TopologyKind{TopologyFullMesh, TopologySharedNIC}
-}
+func TopologyKinds() []TopologyKind { return fabric.Kinds() }
 
 // TopologySpec describes the interconnect layout of the cluster's
-// transfer fabric. Every KV byte the cluster moves between replicas —
-// routing migrations, pre-warm, drain hand-off — is booked on this
-// topology's links with FIFO contention, so a shared NIC makes concurrent
-// transfers honest about queueing.
-type TopologySpec struct {
-	// Kind selects the layout (default TopologyFullMesh).
-	Kind TopologyKind
-
-	// LinkGBps is the bandwidth of one interconnect link in GB/s: per
-	// directed pair under full-mesh, per NIC direction under shared-nic.
-	// Zero inherits InterconnectGBps.
-	LinkGBps float64
-
-	// SwitchGBps bounds the aggregate switch bandwidth under shared-nic:
-	// all transfers additionally serialize through one switch stage of
-	// this bandwidth. Zero models a non-blocking switch.
-	SwitchGBps float64
-}
-
-// fabricSpec maps the public topology spec onto the internal fabric spec;
-// the cluster validates it.
-func (s *TopologySpec) fabricSpec() *fabric.Spec {
-	if s == nil {
-		return nil
-	}
-	return &fabric.Spec{
-		Kind:       fabric.Kind(s.Kind),
-		LinkGBps:   s.LinkGBps,
-		SwitchGBps: s.SwitchGBps,
-	}
-}
+// transfer fabric: Kind (default TopologyFullMesh), LinkGBps, the
+// bandwidth of one link in GB/s — per directed pair under full-mesh, per
+// NIC direction under shared-nic; zero selects 25 GB/s — and SwitchGBps,
+// the aggregate bandwidth of an optional shared switch under shared-nic
+// (zero models a non-blocking switch). Every KV byte the cluster moves
+// between replicas — routing migrations, pre-warm, drain hand-off — is
+// booked on this topology's links with FIFO contention, so a shared NIC
+// makes concurrent transfers honest about queueing.
+type TopologySpec = fabric.Spec
 
 // AutoscalePolicy selects how the autoscaler decides scale actions.
 type AutoscalePolicy string
@@ -406,25 +375,29 @@ type ForecastSpec struct {
 	Headroom float64
 }
 
-// AutoscaleSpec parameterizes SLO-driven replica autoscaling. The replica
-// layout (Replicas or ReplicaSpecs) sizes the maximum pool: a homogeneous
-// layout stretches to MaxReplicas automatically, a heterogeneous layout
-// must list exactly MaxReplicas replicas.
+// AutoscaleSpec parameterizes SLO-driven replica autoscaling. The pool
+// holds MaxReplicas replicas: a homogeneous layout (Replicas) stretches or
+// shrinks to it, a heterogeneous layout (ReplicaSpecs) must list exactly
+// that many.
 type AutoscaleSpec struct {
 	// Policy selects the scale-decision policy (default
 	// AutoscaleQueuePressure).
 	Policy AutoscalePolicy
 
 	// MinReplicas and MaxReplicas bound the in-service replica set
-	// (defaults: 1 and the replica layout size). InitialReplicas is the
-	// active count at t=0 (default MinReplicas).
+	// (defaults: 1, and the larger of the replica layout size and
+	// MinReplicas). InitialReplicas is the active count at t=0 (default
+	// MinReplicas). Negative values and an explicit MaxReplicas below
+	// MinReplicas are errors.
 	MinReplicas, MaxReplicas, InitialReplicas int
 
-	// ScaleToZero forces MinReplicas to 0 and fronts the cluster with a
-	// gateway queue: arrivals while no replica is active are buffered
-	// (bounded by GatewayDepth, excess shed and counted), trigger a
-	// cold-start scale-up at their own instant, and drain FIFO into the
-	// first replica that warms — queue time charged inside their TTFT.
+	// ScaleToZero forces MinReplicas to 0 — whatever it was set to, so
+	// the pool is sized by the layout and MaxReplicas alone — and fronts
+	// the cluster with a gateway queue: arrivals while no replica is
+	// active are buffered (bounded by GatewayDepth, excess shed and
+	// counted), trigger a cold-start scale-up at their own instant, and
+	// drain FIFO into the first replica that warms — queue time charged
+	// inside their TTFT.
 	ScaleToZero bool
 
 	// GatewayDepth bounds the scale-to-zero gateway buffer (default 512;
@@ -465,6 +438,30 @@ type AutoscaleSpec struct {
 	// used-page fractions above which to grow (default 0.85) and below
 	// which to shrink (default 0.30).
 	KVUtilHigh, KVUtilLow float64
+}
+
+// config maps the spec onto the cluster's autoscale config, which resolves
+// its defaults; a nil spec keeps the static pool.
+func (s *AutoscaleSpec) config() (*cluster.AutoscaleConfig, error) {
+	if s == nil {
+		return nil, nil
+	}
+	pol, err := s.policy()
+	if err != nil {
+		return nil, err
+	}
+	return &cluster.AutoscaleConfig{
+		Policy:       pol,
+		Min:          s.MinReplicas,
+		Max:          s.MaxReplicas,
+		Initial:      s.InitialReplicas,
+		Warmup:       simclock.Duration(s.WarmupSeconds),
+		ControlEvery: simclock.Duration(s.ControlEverySeconds),
+		Prewarm:      s.Prewarm,
+		PrewarmTopK:  s.PrewarmTopK,
+		ScaleToZero:  s.ScaleToZero,
+		GatewayDepth: s.GatewayDepth,
+	}, nil
 }
 
 // policy constructs the internal autoscale policy the spec names.
@@ -645,46 +642,24 @@ type TransferClassStats struct {
 	BusySeconds float64
 }
 
-// expandReplicaSpecs resolves the cluster layout into one (GPU,
-// MemFraction) pair per replica, applying the embedded Config's values as
-// defaults.
+// expandReplicaSpecs resolves a heterogeneous layout into one (GPU,
+// MemFraction) pair per replica, inheriting the defaulted Config's values
+// where a spec leaves them zero.
 func expandReplicaSpecs(cfg ClusterConfig) ([]ReplicaSpec, error) {
-	base := ReplicaSpec{GPU: cfg.GPU, MemFraction: cfg.MemFraction}
-	if base.GPU == "" {
-		base.GPU = "H200"
-	}
-	if len(cfg.ReplicaSpecs) == 0 {
-		n := cfg.Replicas
-		if n == 0 {
-			n = 1
-		}
-		if n < 1 {
-			return nil, fmt.Errorf("tokenflow: replica count %d must be >= 1", n)
-		}
-		out := make([]ReplicaSpec, n)
-		for i := range out {
-			out[i] = base
-		}
-		return out, nil
-	}
 	var out []ReplicaSpec
 	for i, s := range cfg.ReplicaSpecs {
 		if s.Count < 0 {
 			return nil, fmt.Errorf("tokenflow: replica spec %d has negative count %d", i, s.Count)
 		}
-		count := s.Count
-		if count == 0 {
-			count = 1
+		count := max(s.Count, 1)
+		if s.GPU == "" {
+			s.GPU = cfg.GPU
 		}
-		r := s
-		if r.GPU == "" {
-			r.GPU = base.GPU
-		}
-		if r.MemFraction == 0 {
-			r.MemFraction = base.MemFraction
+		if s.MemFraction == 0 {
+			s.MemFraction = cfg.MemFraction
 		}
 		for k := 0; k < count; k++ {
-			out = append(out, r)
+			out = append(out, s)
 		}
 	}
 	return out, nil
@@ -694,57 +669,13 @@ func expandReplicaSpecs(cfg ClusterConfig) ([]ReplicaSpec, error) {
 // the heterogeneous layout of ReplicaSpecs) serving the workload behind
 // the selected routing policy, all on one virtual clock.
 func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
+	cfg.Config = cfg.Config.withDefaults()
 	if cfg.Router == "" {
 		cfg.Router = RouterRoundRobin
-	}
-	if cfg.System == "" {
-		cfg.System = SystemTokenFlow
 	}
 	reps, err := expandReplicaSpecs(cfg)
 	if err != nil {
 		return nil, err
-	}
-	var asCfg *cluster.AutoscaleConfig
-	if cfg.Autoscale != nil {
-		spec := *cfg.Autoscale // defaults are resolved on a copy; the caller's spec is reusable
-		if spec.MaxReplicas == 0 {
-			spec.MaxReplicas = len(reps)
-			if spec.MaxReplicas < spec.MinReplicas {
-				spec.MaxReplicas = spec.MinReplicas
-			}
-		}
-		if len(cfg.ReplicaSpecs) == 0 && len(reps) != spec.MaxReplicas {
-			// A homogeneous layout stretches to the autoscaling bound.
-			base := reps[0]
-			reps = make([]ReplicaSpec, spec.MaxReplicas)
-			for i := range reps {
-				reps[i] = base
-			}
-		}
-		if spec.MinReplicas > spec.MaxReplicas {
-			return nil, fmt.Errorf("tokenflow: autoscale min %d exceeds max %d",
-				spec.MinReplicas, spec.MaxReplicas)
-		}
-		if len(reps) != spec.MaxReplicas {
-			return nil, fmt.Errorf("tokenflow: replica layout has %d replicas, autoscale max is %d",
-				len(reps), spec.MaxReplicas)
-		}
-		pol, err := spec.policy()
-		if err != nil {
-			return nil, err
-		}
-		asCfg = &cluster.AutoscaleConfig{
-			Policy:       pol,
-			Min:          spec.MinReplicas,
-			Max:          spec.MaxReplicas,
-			Initial:      spec.InitialReplicas,
-			Warmup:       simclock.Duration(spec.WarmupSeconds),
-			ControlEvery: simclock.Duration(spec.ControlEverySeconds),
-			Prewarm:      spec.Prewarm,
-			PrewarmTopK:  spec.PrewarmTopK,
-			ScaleToZero:  spec.ScaleToZero,
-			GatewayDepth: spec.GatewayDepth,
-		}
 	}
 	pol, err := router.ByName(string(cfg.Router))
 	if err != nil {
@@ -754,21 +685,43 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	cl, err := cluster.New(cluster.Config{
-		Replicas:         len(reps),
-		Policy:           pol,
-		SampleEvery:      simclock.Duration(cfg.SampleEverySeconds),
-		MaxSimTime:       simclock.Duration(cfg.MaxSimTimeSeconds),
-		Migrate:          cfg.Migrate,
-		MigrationPolicy:  cluster.MigrationPolicy(cfg.MigrationPolicy),
-		InterconnectGBps: cfg.InterconnectGBps,
-		Topology:         cfg.Topology.fabricSpec(),
-		Autoscale:        asCfg,
-		PrefixIndex:      cfg.PrefixIndex.indexSpec(),
-		Shards:           cfg.Shards,
-		Obs:              cfg.Obs.options(),
-		Chaos:            chaosSpec,
-	}, func(i int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error) {
+	asCfg, err := cfg.Autoscale.config()
+	if err != nil {
+		return nil, err
+	}
+	replicas := cfg.Replicas
+	if len(reps) > 0 {
+		replicas = len(reps)
+	}
+	ccfg, err := cluster.Config{
+		Replicas:        replicas,
+		Policy:          pol,
+		SampleEvery:     simclock.Duration(cfg.SampleEverySeconds),
+		MaxSimTime:      simclock.Duration(cfg.MaxSimTimeSeconds),
+		Migrate:         cfg.Migrate,
+		MigrationPolicy: cfg.MigrationPolicy,
+		Topology:        cfg.Topology,
+		Autoscale:       asCfg,
+		PrefixIndex:     cfg.PrefixIndex.indexSpec(),
+		Shards:          cfg.Shards,
+		Obs:             cfg.Obs.options(),
+		Chaos:           chaosSpec,
+	}.Normalize()
+	if err != nil {
+		return nil, err
+	}
+	// The normalized replica count is the pool size: a heterogeneous
+	// layout must match it, a homogeneous one is that many copies.
+	if len(reps) == 0 {
+		reps = make([]ReplicaSpec, ccfg.Replicas)
+		for i := range reps {
+			reps[i] = ReplicaSpec{GPU: cfg.GPU, MemFraction: cfg.MemFraction}
+		}
+	} else if len(reps) != ccfg.Replicas {
+		return nil, fmt.Errorf("tokenflow: replica layout has %d replicas, autoscale max is %d",
+			len(reps), ccfg.Replicas)
+	}
+	cl, err := cluster.New(ccfg, func(i int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error) {
 		rcfg := cfg.Config
 		rcfg.GPU = reps[i].GPU
 		rcfg.MemFraction = reps[i].MemFraction

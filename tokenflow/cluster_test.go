@@ -3,6 +3,7 @@ package tokenflow_test
 import (
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/tokenflow"
@@ -231,23 +232,52 @@ func TestRouterPoliciesAllComplete(t *testing.T) {
 
 func TestRunClusterErrors(t *testing.T) {
 	w := tokenflow.BurstWorkload(4, 128, 128, 20, 1)
-	if _, err := tokenflow.RunCluster(tokenflow.ClusterConfig{
-		Config: tokenflow.Config{GPU: "RTX-4090", Model: "Llama3-8B"},
-		Router: "warm-pool",
-	}, w); err == nil {
-		t.Error("unknown router should fail")
+	base := tokenflow.Config{GPU: "RTX-4090", Model: "Llama3-8B"}
+	cases := []struct {
+		name string
+		cfg  tokenflow.ClusterConfig
+		want string // substring naming the offending field ("" = any error)
+	}{
+		{"unknown-router", tokenflow.ClusterConfig{Router: "warm-pool"}, ""},
+		{"negative-replicas", tokenflow.ClusterConfig{Replicas: -2}, "replica count"},
+		{"negative-shards", tokenflow.ClusterConfig{Replicas: 2, Shards: -1}, "shard count"},
+		{"negative-max-replicas",
+			tokenflow.ClusterConfig{Replicas: 2, Autoscale: &tokenflow.AutoscaleSpec{MaxReplicas: -1}},
+			"autoscale max"},
+		{"negative-initial-replicas",
+			tokenflow.ClusterConfig{Replicas: 2, Autoscale: &tokenflow.AutoscaleSpec{InitialReplicas: -1}},
+			"autoscale initial"},
+		{"negative-min-replicas",
+			tokenflow.ClusterConfig{Replicas: 2, Autoscale: &tokenflow.AutoscaleSpec{MinReplicas: -1}},
+			"autoscale min"},
+		{"max-below-min",
+			tokenflow.ClusterConfig{Replicas: 2, Autoscale: &tokenflow.AutoscaleSpec{MinReplicas: 2, MaxReplicas: 1}},
+			"exceeds max"},
+		{"negative-max-sim-time",
+			tokenflow.ClusterConfig{Config: tokenflow.Config{MaxSimTimeSeconds: -1}},
+			"MaxSimTime"},
+		{"negative-reschedule-interval",
+			tokenflow.ClusterConfig{Config: tokenflow.Config{
+				TokenFlow: tokenflow.TokenFlowOptions{RescheduleIntervalSeconds: -1}}},
+			"reschedule interval"},
+		{"negative-buffer-conservativeness",
+			tokenflow.ClusterConfig{Config: tokenflow.Config{
+				TokenFlow: tokenflow.TokenFlowOptions{BufferConservativeness: -1}}},
+			"buffer conservativeness"},
 	}
-	if _, err := tokenflow.RunCluster(tokenflow.ClusterConfig{
-		Config:   tokenflow.Config{GPU: "RTX-4090", Model: "Llama3-8B"},
-		Replicas: -2,
-	}, w); err == nil {
-		t.Error("negative replica count should fail")
-	}
-	if _, err := tokenflow.RunCluster(tokenflow.ClusterConfig{
-		Config:   tokenflow.Config{GPU: "RTX-4090", Model: "Llama3-8B"},
-		Replicas: 2,
-		Shards:   -1,
-	}, w); err == nil {
-		t.Error("negative shard count should fail")
+	for _, c := range cases {
+		cfg := c.cfg
+		cfg.GPU, cfg.Model = base.GPU, base.Model
+		_, err := tokenflow.RunCluster(cfg, w)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: RunCluster error %v, want one naming %q", c.name, err, c.want)
+		}
+		if c.cfg.Config == (tokenflow.Config{}) {
+			continue
+		}
+		// A bad per-replica Config is rejected by Run as well.
+		if _, err := tokenflow.Run(cfg.Config, w); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: Run error %v, want one naming %q", c.name, err, c.want)
+		}
 	}
 }

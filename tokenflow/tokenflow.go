@@ -83,11 +83,12 @@ type Config struct {
 	// System selects the scheduler/memory pairing (default SystemTokenFlow).
 	System System
 
-	// GPU names the device: "RTX-4090", "A6000", "H200", "Ascend-910B".
+	// GPU names the device: "RTX-4090", "A6000", "H200", "Ascend-910B"
+	// (default "H200").
 	GPU string
 
 	// Model names the served model: "Llama3-8B", "Qwen2-7B", "Qwen2.5-7B",
-	// "Qwen2.5-32B".
+	// "Qwen2.5-32B" (default "Llama3-8B").
 	Model string
 
 	// MemFraction is the device-memory share for weights + KV (default 0.9).
@@ -112,7 +113,8 @@ type Config struct {
 	// SampleEverySeconds enables queued/running time-series sampling.
 	SampleEverySeconds float64
 
-	// MaxSimTimeSeconds aborts runaway simulations (default 4 sim-hours).
+	// MaxSimTimeSeconds aborts runaway simulations (default 4 sim-hours;
+	// negative is an error).
 	MaxSimTimeSeconds float64
 
 	// Obs turns on the flight recorder: lifecycle event tracing,
@@ -124,10 +126,10 @@ type Config struct {
 
 // TokenFlowOptions tunes the TokenFlow scheduler (§4 and §7.5).
 type TokenFlowOptions struct {
-	// RescheduleIntervalSeconds is Δt (default 1.0).
+	// RescheduleIntervalSeconds is Δt (default 1.0; negative is an error).
 	RescheduleIntervalSeconds float64
 	// BufferConservativeness is μ (default 2.0; higher behaves more like
-	// SGLang).
+	// SGLang; nonzero values below 1 are an error).
 	BufferConservativeness float64
 	// DisableLocalSearch ablates the adjacent-swap refinement.
 	DisableLocalSearch bool
@@ -193,11 +195,25 @@ type Result struct {
 	Obs *ObsCapture
 }
 
+// withDefaults fills the zero System, GPU and Model — the public layer's
+// only defaults; every other zero field is resolved by the internal config
+// it maps onto.
+func (c Config) withDefaults() Config {
+	if c.System == "" {
+		c.System = SystemTokenFlow
+	}
+	if c.GPU == "" {
+		c.GPU = "H200"
+	}
+	if c.Model == "" {
+		c.Model = "Llama3-8B"
+	}
+	return c
+}
+
 // Run simulates the deployment serving the workload.
 func Run(cfg Config, w Workload) (*Result, error) {
-	if cfg.System == "" {
-		cfg.System = SystemTokenFlow
-	}
+	cfg = cfg.withDefaults()
 	ecfg, err := buildEngineConfig(cfg)
 	if err != nil {
 		return nil, err
@@ -229,16 +245,8 @@ func Run(cfg Config, w Workload) (*Result, error) {
 	return out, nil
 }
 
+// buildEngineConfig maps a defaulted Config onto the engine's config.
 func buildEngineConfig(cfg Config) (engine.Config, error) {
-	if cfg.System == "" {
-		cfg.System = SystemTokenFlow
-	}
-	if cfg.GPU == "" {
-		cfg.GPU = "H200"
-	}
-	if cfg.Model == "" {
-		cfg.Model = "Llama3-8B"
-	}
 	g, err := gpu.ByName(cfg.GPU)
 	if err != nil {
 		return engine.Config{}, err
@@ -266,17 +274,13 @@ func buildEngineConfig(cfg Config) (engine.Config, error) {
 		ecfg.Scheduler = sched.NewAndes()
 		ecfg.KV = engine.BaselineKVPolicy()
 	case SystemTokenFlow:
-		ccfg := core.DefaultConfig()
 		o := cfg.TokenFlow
-		if o.RescheduleIntervalSeconds > 0 {
-			ccfg.RescheduleInterval = simclock.Duration(o.RescheduleIntervalSeconds)
-		}
-		if o.BufferConservativeness > 0 {
-			ccfg.BufferConservativeness = o.BufferConservativeness
-		}
-		ccfg.LocalSearch = !o.DisableLocalSearch
-		ccfg.FallbackFCFS = !o.DisableFallback
-		s, err := core.New(ccfg)
+		s, err := core.New(core.Config{
+			RescheduleInterval:     simclock.Duration(o.RescheduleIntervalSeconds),
+			BufferConservativeness: o.BufferConservativeness,
+			LocalSearch:            !o.DisableLocalSearch,
+			FallbackFCFS:           !o.DisableFallback,
+		})
 		if err != nil {
 			return engine.Config{}, err
 		}
