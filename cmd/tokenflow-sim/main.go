@@ -288,7 +288,7 @@ func main() {
 		flapAt   = flag.String("flap", "", "scripted link flaps as `from-to:atSeconds:durationSeconds,...` (e.g. \"0-1:20:5\")")
 		redund   = flag.Int("redundancy", 0, "pin-redundancy factor K: keep host mirrors of pinned prefixes on K-1 backup replicas, re-pinned after a crash (0/1 = off)")
 		traceOut = flag.String("trace-out", "", "record lifecycle events and write a Chrome trace_event JSON `file` (open in Perfetto); a .jsonl suffix writes the raw event log instead")
-		seriesOu = flag.String("series-out", "", "record per-tick telemetry series and write them as CSV to `file` (cluster mode)")
+		seriesOu = flag.String("series-out", "", "record per-tick telemetry series and write them as CSV to `file`")
 		obsProf  = flag.String("obs-profile", "", "self-profile the simulator's phases and write BENCH_obs.json to `file`")
 	)
 	flag.Usage = groupedUsage
@@ -329,96 +329,92 @@ func main() {
 		cfg.SampleEverySeconds = 0.25
 	}
 
-	var res *tokenflow.Result
-	var ocap *tokenflow.ObsCapture
 	// Any -index-* knob implies -prefix-index; the indexed routers get the
 	// degenerate spec automatically even without it.
 	wantIndex := *pfxIndex || *idxDelay > 0 || *idxDrop > 0 || *idxHeart > 0 || *idxStale > 0
-	// -host-cache routes through cluster mode even for one replica (a
-	// 1-replica round-robin cluster reproduces Run exactly) so the host
-	// prefix cache's reload/fallback stats are reported.
 	wantChaos := *chaosN > 0 || *crashAt != "" || *flapAt != "" || *redund > 1
-	if *replicas > 1 || *hetero != "" || *scaler != "" || *hostCach || wantIndex || wantChaos {
-		ccfg := tokenflow.ClusterConfig{
-			Config:          cfg,
-			Replicas:        *replicas,
-			Router:          tokenflow.RouterPolicy(*routerP),
-			Migrate:         *migrate,
-			MigrationPolicy: tokenflow.MigrationPolicy(*migPol),
-			Shards:          *shards,
-			Topology: &tokenflow.TopologySpec{
-				Kind:       tokenflow.TopologyKind(*topology),
-				LinkGBps:   *linkBW,
-				SwitchGBps: *switchBW,
-			},
-		}
-		if *hetero != "" {
-			specs, err := parseHetero(*hetero)
-			if err != nil {
-				log.Fatal(err)
-			}
-			ccfg.ReplicaSpecs = specs
-		}
-		if wantIndex {
-			ccfg.PrefixIndex = &tokenflow.PrefixIndexSpec{
-				PropagationDelaySeconds: *idxDelay,
-				DropRate:                *idxDrop,
-				HeartbeatEverySeconds:   *idxHeart,
-				MaxStalenessSeconds:     *idxStale,
-				Seed:                    *seed,
-			}
-		}
-		if wantChaos {
-			cs := &tokenflow.ChaosSpec{
-				RandomFaults:   *chaosN,
-				Seed:           *seed,
-				HorizonSeconds: *duration,
-				Redundancy:     *redund,
-			}
-			if *crashAt != "" {
-				faults, err := parseCrashes(*crashAt)
-				if err != nil {
-					log.Fatal(err)
-				}
-				cs.Faults = append(cs.Faults, faults...)
-			}
-			if *flapAt != "" {
-				faults, err := parseFlaps(*flapAt)
-				if err != nil {
-					log.Fatal(err)
-				}
-				cs.Faults = append(cs.Faults, faults...)
-			}
-			ccfg.Chaos = cs
-		}
-		if *scaler != "" {
-			ws := *warmup
-			if ws == 0 {
-				// The flag default is 8, so an explicit 0 means "instant" —
-				// map it onto the spec's negative-means-instant convention
-				// (its own zero value selects the default).
-				ws = -1
-			}
-			ccfg.Autoscale = &tokenflow.AutoscaleSpec{
-				Policy:        tokenflow.AutoscalePolicy(*scaler),
-				MinReplicas:   *minReps,
-				MaxReplicas:   *maxReps,
-				WarmupSeconds: ws,
-				Prewarm:       *prewarm,
-				ScaleToZero:   *minReps == 0,
-				GatewayDepth:  *gwDepth,
-				TargetP99TTFT: time.Duration(*sloP99 * float64(time.Second)),
-			}
-			if *fcRate > 0 {
-				ccfg.Autoscale.Forecast = &tokenflow.ForecastSpec{RatePerReplica: *fcRate}
-			}
-		}
-		cres, err := tokenflow.RunCluster(ccfg, w)
+	ccfg := tokenflow.ClusterConfig{
+		Config:          cfg,
+		Replicas:        *replicas,
+		Router:          tokenflow.RouterPolicy(*routerP),
+		Migrate:         *migrate,
+		MigrationPolicy: tokenflow.MigrationPolicy(*migPol),
+		Shards:          *shards,
+		Topology: &tokenflow.TopologySpec{
+			Kind:       tokenflow.TopologyKind(*topology),
+			LinkGBps:   *linkBW,
+			SwitchGBps: *switchBW,
+		},
+	}
+	if *hetero != "" {
+		specs, err := parseHetero(*hetero)
 		if err != nil {
 			log.Fatal(err)
 		}
-		res = cres.Cluster
-		ocap = cres.Obs
+		ccfg.ReplicaSpecs = specs
+	}
+	if wantIndex {
+		ccfg.PrefixIndex = &tokenflow.PrefixIndexSpec{
+			PropagationDelaySeconds: *idxDelay,
+			DropRate:                *idxDrop,
+			HeartbeatEverySeconds:   *idxHeart,
+			MaxStalenessSeconds:     *idxStale,
+			Seed:                    *seed,
+		}
+	}
+	if wantChaos {
+		cs := &tokenflow.ChaosSpec{
+			RandomFaults:   *chaosN,
+			Seed:           *seed,
+			HorizonSeconds: *duration,
+			Redundancy:     *redund,
+		}
+		if *crashAt != "" {
+			faults, err := parseCrashes(*crashAt)
+			if err != nil {
+				log.Fatal(err)
+			}
+			cs.Faults = append(cs.Faults, faults...)
+		}
+		if *flapAt != "" {
+			faults, err := parseFlaps(*flapAt)
+			if err != nil {
+				log.Fatal(err)
+			}
+			cs.Faults = append(cs.Faults, faults...)
+		}
+		ccfg.Chaos = cs
+	}
+	if *scaler != "" {
+		ws := *warmup
+		if ws == 0 {
+			// The flag default is 8, so an explicit 0 means "instant" —
+			// map it onto the spec's negative-means-instant convention
+			// (its own zero value selects the default).
+			ws = -1
+		}
+		ccfg.Autoscale = &tokenflow.AutoscaleSpec{
+			Policy:        tokenflow.AutoscalePolicy(*scaler),
+			MinReplicas:   *minReps,
+			MaxReplicas:   *maxReps,
+			WarmupSeconds: ws,
+			Prewarm:       *prewarm,
+			ScaleToZero:   *minReps == 0,
+			GatewayDepth:  *gwDepth,
+			TargetP99TTFT: time.Duration(*sloP99 * float64(time.Second)),
+		}
+		if *fcRate > 0 {
+			ccfg.Autoscale.Forecast = &tokenflow.ForecastSpec{RatePerReplica: *fcRate}
+		}
+	}
+	cres, err := tokenflow.RunCluster(ccfg, w)
+	if err != nil {
+		log.Fatal(err)
+	}
+	res := cres.Cluster
+	// A single device is a one-replica cluster; its report leaves out the
+	// cluster lines unless a cluster-level feature was asked for.
+	if *replicas > 1 || *hetero != "" || *scaler != "" || *hostCach || wantIndex || wantChaos {
 		fmt.Printf("replicas            %d (router: %s)\n", len(cres.Replicas), cres.Router)
 		fmt.Printf("load imbalance      %.2fx peak/mean\n", cres.Imbalance)
 		fmt.Printf("prefix-cache hits   %d (%d tokens of prefill skipped)\n",
@@ -485,13 +481,6 @@ func main() {
 				rr.ID, rr.GPU, rr.Routed, rr.Result.Finished, rr.Result.P99TTFT.Seconds(),
 				rr.PinnedPrefixPages, rr.State)
 		}
-	} else {
-		var err error
-		res, err = tokenflow.Run(cfg, w)
-		if err != nil {
-			log.Fatal(err)
-		}
-		ocap = res.Obs
 	}
 
 	fmt.Printf("system              %s\n", res.System)
@@ -505,13 +494,12 @@ func main() {
 	fmt.Printf("total rebuffer      %.2fs across %d requests\n", res.TotalRebuffer.Seconds(), res.Total)
 	fmt.Printf("preemptions         %d\n", res.Preemptions)
 
-	writeObs(ocap, *traceOut, *seriesOu, *obsProf)
+	writeObs(cres.Obs, *traceOut, *seriesOu, *obsProf)
 }
 
-// writeObs writes the observability exports the flags requested. All the
-// writers are nil-safe, so an export requested on a path that recorded
-// nothing (series on a single-device run) writes an empty document rather
-// than failing.
+// writeObs writes the observability exports the flags requested. Every run
+// is a cluster run — a single device is a one-replica cluster — so each
+// export records real data, -series-out on a single device included.
 func writeObs(ocap *tokenflow.ObsCapture, traceOut, seriesOut, profOut string) {
 	write := func(path string, fn func(io.Writer) error) {
 		if path == "" {

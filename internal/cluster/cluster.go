@@ -34,10 +34,10 @@
 // pre-warming the hottest pinned prefixes over the interconnect; scale-down
 // drains a replica and hands its pins to the survivors.
 //
-// A single-replica cluster with round-robin routing reduces exactly to the
-// single-device engine.Run path: same clock, same admission sequence, same
-// metrics — byte for byte. Likewise a min=max autoscaled cluster reduces
-// exactly to the static cluster of the same size.
+// Run is the only code that steps the simulation's clocks: engines never
+// step one themselves, and a single device is simulated as a one-replica
+// cluster with round-robin routing. A min=max autoscaled cluster reduces exactly
+// to the static cluster of the same size.
 package cluster
 
 import (
@@ -76,11 +76,10 @@ type Config struct {
 	// Shards partitions the replicas across parallel worker goroutines
 	// (see shards.go): replica i runs its engine events on the sub-clock
 	// of shard i mod Shards, synchronized with the coordinator clock at
-	// every cross-replica event. 0 or 1 keeps the single-threaded loop;
-	// negative is an error. Results are identical either way (the
-	// determinism suite asserts deep equality), except that a sharded run
-	// which hits MaxSimTime stops at the deadline instead of one event past
-	// it. Clamped to Replicas.
+	// every cross-replica event. 0 or 1 runs every replica on the
+	// coordinator clock; negative is an error. Results are identical at
+	// every shard count, timed-out runs included (the determinism suite
+	// asserts deep equality). Clamped to Replicas.
 	// The flight recorder is sharded-safe: each shard records onto its own
 	// recorder and profiler, emissions route by the event's replica, and
 	// the streams merge deterministically at collect — event and trace
@@ -324,8 +323,7 @@ func (a AutoscaleConfig) normalize(replicas int) (AutoscaleConfig, error) {
 // replica's endpoint on the cluster's transfer fabric (pass it through as
 // engine.Config.Fabric so host transfers are class-accounted on the shared
 // topology). Each call must return a fresh engine with a fresh scheduler
-// (schedulers are stateful). The engine must not enable its own
-// SampleEvery: the cluster drives sampling.
+// (schedulers are stateful).
 type BuildEngine func(replica int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error)
 
 // replica pairs an engine with its routing and lifecycle bookkeeping; it
@@ -854,17 +852,24 @@ func (c *Cluster) Run(w trace.Workload) (*Result, error) {
 		}
 	}
 
-	// Arrivals: the routing decision happens at the arrival instant, when
-	// the policy sees live replica state. Under scale-to-zero an arrival
-	// that finds no active replica goes through the gateway instead
-	// (gateway.go): buffered or shed, and always a cold-start trigger.
 	// A sharded run whose configuration needs no coordinator events at all
-	// pre-routes arrivals straight onto the shard clocks instead.
+	// pre-routes arrivals straight onto the shard clocks; every other run
+	// routes them on the coordinator. Either way one loop drives the run.
 	if c.fastShardPath() {
 		c.primeSharded(w)
-		timedOut := c.runSharded(simclock.Time(c.cfg.MaxSimTime))
-		return c.collect(timedOut), nil
+	} else {
+		c.primeRouted(w)
 	}
+	return c.collect(c.runSharded(simclock.Time(c.cfg.MaxSimTime))), nil
+}
+
+// primeRouted schedules the coordinator's events: arrivals, the sampling
+// and control loops, heartbeats and the chaos plan. The routing decision
+// happens at the arrival instant, when the policy sees live replica state.
+// Under scale-to-zero an arrival that finds no active replica goes through
+// the gateway instead (gateway.go): buffered or shed, and always a
+// cold-start trigger.
+func (c *Cluster) primeRouted(w trace.Workload) {
 	c.scheduleHeartbeats()
 	c.scheduleChaos()
 	for i, it := range w.Items {
@@ -876,9 +881,6 @@ func (c *Cluster) Run(w trace.Workload) (*Result, error) {
 				int64(it.PromptLen), int64(it.OutputLen), int64(it.Turn), 0, "")
 			if id == w.Len()-1 {
 				c.arrivalsDone = true
-				for _, rp := range c.replicas {
-					rp.eng.SetArrivalsDone()
-				}
 			}
 			if c.gatewayEnabled() && c.activeCount() == 0 {
 				// A draining replica is still warm; reactivating it beats
@@ -939,20 +941,6 @@ func (c *Cluster) Run(w trace.Workload) (*Result, error) {
 		}
 		c.clock.At(0, control)
 	}
-
-	timedOut := false
-	deadline := simclock.Time(c.cfg.MaxSimTime)
-	if len(c.shards) > 0 {
-		timedOut = c.runSharded(deadline)
-	} else {
-		for c.clock.Step() {
-			if c.clock.Now() > deadline {
-				timedOut = true
-				break
-			}
-		}
-	}
-	return c.collect(timedOut), nil
 }
 
 // routable is the policy's view: only active replicas receive traffic.

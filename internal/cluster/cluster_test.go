@@ -125,29 +125,34 @@ func TestClusterDeterminism(t *testing.T) {
 	}
 }
 
-// TestSingleReplicaMatchesEngine checks that a 1-replica cluster with
-// round-robin routing reproduces the standalone engine run exactly.
-func TestSingleReplicaMatchesEngine(t *testing.T) {
-	w := sessionWorkload(t)
-	res := runPolicy(t, 1, router.NewRoundRobin(), w)
-
-	eng, err := buildTokenFlow()(0, nil, nil)
+// TestTimedOutRunReportsPartialState: a run the MaxSimTime deadline cuts
+// short — here the single-device configuration, one round-robin replica —
+// still tears down cleanly and reports honestly: TimedOut set on the
+// cluster and the replica, unfinished requests left in the population, and
+// every request that never produced a token TTFT-censored.
+func TestTimedOutRunReportsPartialState(t *testing.T) {
+	w := trace.Burst("b", 10, 0, trace.FixedLengths{Prompt: 256, Output: 512}, trace.FixedRate(10), 1)
+	cl, err := cluster.New(cluster.Config{
+		Policy:     router.NewRoundRobin(),
+		MaxSimTime: time.Second,
+	}, buildTokenFlow())
 	if err != nil {
 		t.Fatal(err)
 	}
-	solo, err := eng.Run(w)
+	res, err := cl.Run(w)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(res.Report, solo.Report) {
-		t.Errorf("1-replica cluster report differs from engine report:\ncluster: %+v\nengine:  %+v",
-			res.Report, solo.Report)
+	if !res.TimedOut || !res.PerReplica[0].Result.TimedOut {
+		t.Fatal("1s cap must time out")
 	}
-	if res.Makespan != solo.Makespan {
-		t.Errorf("makespan %v != %v", res.Makespan, solo.Makespan)
+	if res.Report.Finished == res.Report.N {
+		t.Error("timed-out run should leave unfinished requests")
 	}
-	if res.PrefixHits != solo.PrefixHits {
-		t.Errorf("prefix hits %d != %d", res.PrefixHits, solo.PrefixHits)
+	for _, rm := range res.Report.Requests {
+		if !rm.Finished && rm.Tokens == 0 && !rm.TTFTCensored {
+			t.Error("unserved requests must be TTFT-censored")
+		}
 	}
 }
 
@@ -329,6 +334,10 @@ func TestClusterConfigErrors(t *testing.T) {
 	}
 	if _, err := cl.Run(trace.Workload{Name: "empty"}); err == nil {
 		t.Error("empty workload should fail")
+	}
+	huge := trace.Burst("huge", 1, 0, trace.FixedLengths{Prompt: 500000, Output: 500000}, trace.FixedRate(20), 1)
+	if _, err := cl.Run(huge); err == nil {
+		t.Error("a request larger than every replica's KV capacity should fail upfront")
 	}
 }
 

@@ -33,10 +33,11 @@ package cluster
 // The result is deterministic and — because engine event times are
 // float-derived while coordinator timers tick at configured intervals, so
 // cross-clock ties do not arise in practice — identical to the
-// single-threaded run of the same configuration; the determinism suite
-// asserts deep equality across shard counts. The one intentional
-// divergence: a run that hits MaxSimTime stops sharded execution at the
-// deadline instead of one event past it, so only TimedOut runs may differ.
+// single-threaded run of the same configuration, timed-out runs included:
+// runSharded is the one loop for every shard count (with zero shards it
+// just has no shards to advance), so every run fires exactly the events
+// at or before MaxSimTime. The determinism suite asserts deep equality
+// across shard counts.
 //
 // When the configuration needs no coordinator events at all — static
 // replica set, round-robin routing, no migration, no sampling — arrivals
@@ -125,32 +126,34 @@ func (c *Cluster) fastShardPath() bool {
 // primeSharded schedules the workload's arrivals directly on the shard
 // clocks (fast path only). Equivalent to the routed path: round-robin
 // assigns arrival k to replica k mod N, requests allocate from the owning
-// shard's arena, and arrival order within a shard follows arrival id.
+// shard's arena, and arrival order within a shard follows arrival id. An
+// arrival counts as routed when it fires, as on the routed path, so a run
+// the deadline cuts short does not count the arrivals it never reached;
+// only the owning shard goroutine writes the counter, and collect reads
+// it after the join.
 func (c *Cluster) primeSharded(w trace.Workload) {
 	n := len(c.replicas)
 	for i, it := range w.Items {
 		it := it
 		id := i
 		rep := c.replicas[i%n]
-		rep.routed++
 		sh := c.shardOf(rep.id)
 		sh.clock.At(it.Arrival, func(now simclock.Time) {
+			rep.routed++
 			r := sh.arena.New(id, now, it.PromptLen, it.OutputLen, it.Rate)
 			r.Session, r.Turn = it.Session, it.Turn
 			rep.eng.Inject(r, now)
 		})
 	}
 	c.arrivalsDone = true
-	for _, rep := range c.replicas {
-		rep.eng.SetArrivalsDone()
-	}
 }
 
-// runSharded is the sharded main loop: run shards up to each coordinator
-// event, fire it, repeat; when the coordinator runs dry (or its next event
-// lies past the deadline), drain the shards and stop. It reports whether
-// the run timed out — sharded runs stop at the deadline rather than one
-// event past it, the only behavioral difference from the legacy loop.
+// runSharded is the cluster's one main loop, for every shard count: run
+// the shards up to each coordinator event, fire it, repeat; when the
+// coordinator runs dry (or its next event lies past the deadline), drain
+// the shards and stop. With zero shards it simply steps the coordinator
+// clock. Events at or before the deadline fire and none after it, on every
+// clock. It reports whether the run timed out.
 func (c *Cluster) runSharded(deadline simclock.Time) (timedOut bool) {
 	for {
 		next := c.clock.Peek()
@@ -195,6 +198,9 @@ func (c *Cluster) runSharded(deadline simclock.Time) (timedOut bool) {
 // runs inline without spawning), idle shards just align their clocks. The
 // shard-buffered TTFT observations merge afterwards, on the coordinator.
 func (c *Cluster) advanceShards(barrier, deadline simclock.Time) {
+	if len(c.shards) == 0 {
+		return
+	}
 	busy := c.busyShards[:0]
 	for _, sh := range c.shards {
 		if t := sh.clock.Peek(); t < barrier && t <= deadline {

@@ -215,3 +215,57 @@ func TestShardedAttributionOnFastPath(t *testing.T) {
 		}
 	}
 }
+
+// TestShardedTimedOutRunsMatch: a run the MaxSimTime deadline cuts short
+// is deep-equal at every shard count too. One loop drives every run and
+// fires exactly the events at or before the deadline on every clock, on
+// the coordinated path (sampling on) and on the barrier-free fast path,
+// where an arrival counts as routed only once it fires.
+func TestShardedTimedOutRunsMatch(t *testing.T) {
+	w := sessionWorkload(t)
+	for _, row := range []struct {
+		name        string
+		sampleEvery time.Duration
+	}{
+		{"coordinated", 250 * time.Millisecond},
+		{"fast-path", 0},
+	} {
+		row := row
+		t.Run(row.name, func(t *testing.T) {
+			run := func(shards int) *cluster.Result {
+				cl, err := cluster.New(cluster.Config{
+					Replicas:    3,
+					Policy:      router.NewRoundRobin(),
+					Shards:      shards,
+					SampleEvery: row.sampleEvery,
+					MaxSimTime:  20 * time.Second,
+				}, buildTokenFlow())
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := cl.Run(w)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res
+			}
+			single := run(0)
+			if !single.TimedOut {
+				t.Fatal("a 20s cap must cut the 60s session workload short")
+			}
+			for _, shards := range []int{1, 2} {
+				got := run(shards)
+				if reflect.DeepEqual(single, got) {
+					continue
+				}
+				for i, rs := range got.PerReplica {
+					if want := single.PerReplica[i].Routed; rs.Routed != want {
+						t.Errorf("shards=%d: replica %d routed %d, want %d", shards, i, rs.Routed, want)
+					}
+				}
+				t.Fatalf("shards=%d: timed-out result diverged (%d events vs %d)",
+					shards, got.EventsProcessed, single.EventsProcessed)
+			}
+		})
+	}
+}

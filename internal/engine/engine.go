@@ -2,8 +2,14 @@
 // iteration-level batching executor (continuous batching, prefill-priority
 // or chunked-prefill iterations, reactive OOM eviction) driven by a
 // pluggable scheduler, wired to the hierarchical KV cache manager and the
-// client consumption processes. One Engine simulates one device serving
-// one workload; runs are deterministic.
+// client consumption processes. One Engine simulates one device.
+//
+// The engine is a pure event-driven component: it schedules its own
+// iterations, transfers and consumption ticks on the clock it is given, but
+// never steps that clock. Its owner drives the clock, delivers arrivals
+// through Inject and reads the outcome through Collect. internal/cluster
+// is that owner for every run; a single device is a one-replica cluster.
+// Runs are deterministic.
 package engine
 
 import (
@@ -80,16 +86,8 @@ type Config struct {
 	// KV selects the memory-management policies.
 	KV KVPolicy
 
-	// SampleEvery enables queued/running time-series sampling (Figures
-	// 14-15); zero disables it.
-	SampleEvery time.Duration
-
 	// QoS parameterizes the report metrics; zero value selects defaults.
 	QoS metrics.QoSParams
-
-	// MaxSimTime aborts runaway simulations (default 4 simulated hours;
-	// negative is an error).
-	MaxSimTime time.Duration
 
 	// PrefixCacheFraction caps the session prefix cache as a share of KV
 	// capacity: finished turns of multi-turn sessions keep their context
@@ -101,10 +99,9 @@ type Config struct {
 	// unaffected.
 	PrefixCacheFraction float64
 
-	// Clock optionally injects a shared virtual clock. When nil the engine
-	// owns a fresh clock and Run drives it to completion; when set (the
-	// multi-replica cluster case) the owner of the clock drives the
-	// simulation and feeds the engine through Inject/Collect.
+	// Clock is the virtual clock the engine schedules its events on.
+	// Required. The engine never steps it: the clock's owner drives the
+	// simulation and feeds the engine through Inject and Collect.
 	Clock *simclock.Clock
 
 	// Fabric optionally injects this replica's endpoint on a shared
@@ -129,9 +126,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxPrefillTokens == 0 {
 		c.MaxPrefillTokens = 8192
 	}
-	if c.MaxSimTime == 0 {
-		c.MaxSimTime = 4 * time.Hour
-	}
 	if c.PrefixCacheFraction == 0 {
 		c.PrefixCacheFraction = 0.5
 	}
@@ -146,6 +140,9 @@ func (c Config) Validate() error {
 	if c.Scheduler == nil {
 		return fmt.Errorf("engine: nil scheduler")
 	}
+	if c.Clock == nil {
+		return fmt.Errorf("engine: nil clock")
+	}
 	if err := c.GPU.Validate(); err != nil {
 		return err
 	}
@@ -154,9 +151,6 @@ func (c Config) Validate() error {
 	}
 	if c.MemFraction < 0 || c.MemFraction > 1 {
 		return fmt.Errorf("engine: mem fraction %v out of range", c.MemFraction)
-	}
-	if c.MaxSimTime < 0 {
-		return fmt.Errorf("engine: negative MaxSimTime %v", c.MaxSimTime)
 	}
 	return nil
 }
@@ -197,7 +191,8 @@ type Result struct {
 	// Makespan is the time of the last generated token (T in Eq. 2).
 	Makespan time.Duration
 
-	// TimedOut is set when the run hit MaxSimTime before completing.
+	// TimedOut is set when the clock's owner stopped the run at its
+	// deadline before it completed (MarkTimedOut).
 	TimedOut bool
 }
 
@@ -263,10 +258,6 @@ type Engine struct {
 	retryTick simclock.Handle
 	retryAt   simclock.Time
 
-	// arena batch-allocates this engine's self-primed requests; cluster
-	// runs inject externally-built requests instead.
-	arena request.Arena
-
 	// viewBuf/viewBacklog/batchBuf are reused per-kick scratch: the view
 	// and decode batch are rebuilt on every scheduling step, which on
 	// million-request traces would otherwise dominate allocation. The
@@ -319,8 +310,7 @@ type Engine struct {
 	mixedIters    int64
 	boundaryStall time.Duration
 
-	arrivalsDone bool
-	timedOut     bool
+	timedOut bool
 
 	// Session prefix-cache accounting. The cache itself lives in the KV
 	// manager as pinned page-pool reservations (kvcache prefix pins); hits
@@ -346,10 +336,6 @@ func New(cfg Config) (*Engine, error) {
 		return nil, fmt.Errorf("engine: %s with mem fraction %.2f leaves no KV capacity for %s",
 			cfg.GPU.Name, cfg.MemFraction, cfg.Model.Name)
 	}
-	clock := cfg.Clock
-	if clock == nil {
-		clock = simclock.New()
-	}
 	ep := cfg.Fabric
 	if ep == nil {
 		ep = fabric.NewSingleHost(cfg.GPU.PCIeBytesPerSec(), cfg.GPU.PCIeBytesPerSec())
@@ -360,7 +346,7 @@ func New(cfg Config) (*Engine, error) {
 	}
 	e := &Engine{
 		cfg:   cfg,
-		clock: clock,
+		clock: cfg.Clock,
 		cost:  cost,
 		ep:    ep,
 		track: request.NewTracker(),
@@ -419,9 +405,6 @@ func (e *Engine) SetObs(rec *obs.Recorder, prof *obs.Profiler, replica int) {
 	e.mem.SetObs(rec, replica)
 }
 
-// Clock exposes the engine's virtual clock (for tests and harnesses).
-func (e *Engine) Clock() *simclock.Clock { return e.clock }
-
 // Mem exposes the KV manager (read-only use).
 func (e *Engine) Mem() *kvcache.Manager { return e.mem }
 
@@ -429,24 +412,6 @@ func (e *Engine) Mem() *kvcache.Manager { return e.mem }
 // (waiting, prefill backlog, running, preempted, loading) for telemetry.
 func (e *Engine) QueueLengths() (waiting, backlog, running, preempted, loading int) {
 	return len(e.waiting), len(e.backlog), len(e.running), len(e.preempted), len(e.loading)
-}
-
-// Run simulates the workload to completion and returns the result. It is
-// the single-device entry point: Prime the workload, drive the clock, then
-// Collect. Engines built on an injected shared clock are driven by their
-// owner instead (see internal/cluster).
-func (e *Engine) Run(w trace.Workload) (*Result, error) {
-	if err := e.Prime(w); err != nil {
-		return nil, err
-	}
-	deadline := simclock.Time(e.cfg.MaxSimTime)
-	for e.clock.Step() {
-		if e.clock.Now() > deadline {
-			e.timedOut = true
-			break
-		}
-	}
-	return e.Collect(), nil
 }
 
 // ValidateWorkload checks that every request of the workload individually
@@ -468,44 +433,12 @@ func (e *Engine) ValidateWorkload(w trace.Workload) error {
 	return nil
 }
 
-// Prime validates the workload and schedules its arrival events (plus the
-// sampling loop) on the engine's clock.
-func (e *Engine) Prime(w trace.Workload) error {
-	if err := e.ValidateWorkload(w); err != nil {
-		return err
-	}
-	for i, it := range w.Items {
-		it := it
-		id := i
-		e.clock.At(it.Arrival, func(now simclock.Time) {
-			r := e.arena.New(id, now, it.PromptLen, it.OutputLen, it.Rate)
-			r.Session, r.Turn = it.Session, it.Turn
-			if id == w.Len()-1 {
-				e.arrivalsDone = true
-			}
-			e.Inject(r, now)
-		})
-	}
-	if e.cfg.SampleEvery > 0 {
-		var sample func(now simclock.Time)
-		sample = func(now simclock.Time) {
-			e.track.Sample(now)
-			if !e.done() {
-				e.clock.After(e.cfg.SampleEvery, sample)
-			}
-		}
-		e.clock.At(0, sample)
-	}
-	return nil
-}
-
-// Inject submits an externally created request at the current virtual time.
-// The cluster router uses it to deliver routed arrivals; Prime uses it for
-// the single-device path so both paths share one admission sequence. A
-// session prefix-cache hit is assessed here, at arrival — and when the
-// device pin is gone but a host-tier mirror survives, the arrival may
-// first wait for a host-to-device reload (the wire time lands inside its
-// TTFT, exactly like a cross-replica migration).
+// Inject submits an externally created request at the current virtual time;
+// the cluster delivers every arrival through it. A session prefix-cache
+// hit is assessed here, at arrival — and when the device pin is gone but a
+// host-tier mirror survives, the arrival may first wait for a
+// host-to-device reload (the wire time lands inside its TTFT, exactly like
+// a cross-replica migration).
 func (e *Engine) Inject(r *request.Request, now simclock.Time) {
 	e.InjectCause(r, now, 0)
 }
@@ -588,10 +521,6 @@ func (e *Engine) tryHostReload(r *request.Request, now simclock.Time, cause int6
 	e.deferred = append(e.deferred, deferredInject{req: r, handle: h})
 	return true
 }
-
-// SetArrivalsDone marks that no further arrivals will be injected, letting
-// the sampling loop terminate once all registered requests finish.
-func (e *Engine) SetArrivalsDone() { e.arrivalsDone = true }
 
 // SetFirstTokenObserver installs a callback fired when a request generates
 // its first output token (TTFT is measurable at that instant). The
@@ -762,13 +691,6 @@ func (e *Engine) Collect() *Result {
 		Makespan:            time.Duration(makespan),
 		TimedOut:            e.timedOut,
 	}
-}
-
-// done reports whether all registered requests finished generating and no
-// more arrivals are pending — including arrivals still waiting on an
-// in-flight host-tier prefix reload, which are not registered yet.
-func (e *Engine) done() bool {
-	return e.arrivalsDone && e.pendingInjects == 0 && e.track.FinishedAll()
 }
 
 // teardown cancels outstanding consumption events after an aborted run.

@@ -27,6 +27,7 @@ func testConfig(s sched.Scheduler, kv KVPolicy) Config {
 		Model:     model.Llama3_8B,
 		Scheduler: s,
 		KV:        kv,
+		Clock:     simclock.New(),
 	}
 }
 
@@ -36,7 +37,7 @@ func runWorkload(t *testing.T, cfg Config, w trace.Workload) *Result {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(w)
+	res, err := drive(e, w)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -52,6 +53,11 @@ func TestConfigValidation(t *testing.T) {
 		t.Error("nil scheduler should fail")
 	}
 	cfg := testConfig(sched.NewSGLang(), BaselineKVPolicy())
+	cfg.Clock = nil
+	if _, err := New(cfg); err == nil {
+		t.Error("nil clock should fail")
+	}
+	cfg = testConfig(sched.NewSGLang(), BaselineKVPolicy())
 	cfg.MemFraction = 1.5
 	if _, err := New(cfg); err == nil {
 		t.Error("bad mem fraction should fail")
@@ -68,11 +74,11 @@ func TestRunRejectsBadWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.Run(trace.Workload{}); err == nil {
+	if err := e.ValidateWorkload(trace.Workload{}); err == nil {
 		t.Error("empty workload should fail")
 	}
 	huge := burst(1, 5000, 5000, 20)
-	if _, err := e.Run(huge); err == nil {
+	if err := e.ValidateWorkload(huge); err == nil {
 		t.Error("oversized request should fail upfront")
 	}
 }
@@ -192,9 +198,27 @@ func TestTokenFlowImprovesTTFTOverSGLang(t *testing.T) {
 }
 
 func TestSamplesRecorded(t *testing.T) {
-	cfg := testConfig(sched.NewSGLang(), BaselineKVPolicy())
-	cfg.SampleEvery = 100 * time.Millisecond
-	res := runWorkload(t, cfg, burst(6, 192, 128, 20))
+	e, err := New(testConfig(sched.NewSGLang(), BaselineKVPolicy()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	w := burst(6, 192, 128, 20)
+	if err := prime(e, w); err != nil {
+		t.Fatal(err)
+	}
+	// Sample every 100ms while work remains; ticks scheduled after the
+	// arrivals see the t=0 burst already injected.
+	var sample func(now simclock.Time)
+	sample = func(now simclock.Time) {
+		e.Sample(now)
+		if e.OutstandingRequests() > 0 {
+			e.clock.After(100*time.Millisecond, sample)
+		}
+	}
+	e.clock.At(0, sample)
+	for e.clock.Step() {
+	}
+	res := e.Collect()
 	if len(res.Samples) < 5 {
 		t.Fatalf("samples = %d", len(res.Samples))
 	}
@@ -286,7 +310,7 @@ func BenchmarkBurstTokenFlow(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		if _, err := e.Run(w); err != nil {
+		if _, err := drive(e, w); err != nil {
 			b.Fatal(err)
 		}
 	}

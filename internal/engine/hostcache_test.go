@@ -1,10 +1,9 @@
-package engine_test
+package engine
 
 import (
 	"testing"
 
 	"repro/internal/core"
-	"repro/internal/engine"
 	"repro/internal/fabric"
 	"repro/internal/gpu"
 	"repro/internal/model"
@@ -33,22 +32,23 @@ func pressureWorkload(sessions int) trace.Workload {
 	return w
 }
 
-func runHostCache(t *testing.T, ep *fabric.Endpoint, hostCache bool, w trace.Workload) *engine.Result {
+func runHostCache(t *testing.T, ep *fabric.Endpoint, hostCache bool, w trace.Workload) *Result {
 	t.Helper()
-	kv := engine.TokenFlowKVPolicy()
+	kv := TokenFlowKVPolicy()
 	kv.HostCache = hostCache
-	e, err := engine.New(engine.Config{
+	e, err := New(Config{
 		GPU:         gpu.RTX4090,
 		Model:       model.Llama3_8B,
 		MemFraction: 0.9,
 		Scheduler:   core.MustNew(core.DefaultConfig()),
 		KV:          kv,
+		Clock:       simclock.New(),
 		Fabric:      ep,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := e.Run(w)
+	res, err := drive(e, w)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -121,7 +121,7 @@ func TestPrefixEvictionUnderPressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Prime(w); err != nil {
+	if err := prime(e, w); err != nil {
 		t.Fatal(err)
 	}
 	for e.clock.Step() {

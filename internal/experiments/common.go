@@ -16,10 +16,13 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
+	"repro/internal/fabric"
 	"repro/internal/gpu"
 	"repro/internal/model"
+	"repro/internal/router"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/trace"
@@ -146,51 +149,71 @@ func tokenFlowWith(cfg core.Config) SystemSpec {
 	}}
 }
 
-// runOne simulates one system on one workload.
-func runOne(dep Deployment, spec SystemSpec, w trace.Workload, sampleEvery time.Duration) (*engine.Result, error) {
-	s, kv := spec.Make()
-	e, err := engine.New(engine.Config{
-		GPU:         dep.GPU,
-		Model:       dep.Model,
-		MemFraction: dep.MemFraction,
-		MaxBatch:    dep.MaxBatch,
-		Scheduler:   s,
-		KV:          kv,
-		SampleEvery: sampleEvery,
-	})
+// buildSystem returns a BuildEngine producing fresh engines of the
+// system on the deployment, on the cluster's clock and fabric.
+func buildSystem(dep Deployment, spec SystemSpec) cluster.BuildEngine {
+	return func(_ int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error) {
+		s, kv := spec.Make()
+		return engine.New(engine.Config{
+			GPU:         dep.GPU,
+			Model:       dep.Model,
+			MemFraction: dep.MemFraction,
+			MaxBatch:    dep.MaxBatch,
+			Scheduler:   s,
+			KV:          kv,
+			Clock:       clock,
+			Fabric:      ep,
+		})
+	}
+}
+
+// simulate builds a cluster and runs the workload on it.
+func simulate(cfg cluster.Config, build cluster.BuildEngine, w trace.Workload) (*cluster.Result, error) {
+	cl, err := cluster.New(cfg, build)
 	if err != nil {
 		return nil, err
 	}
-	return e.Run(w)
+	return cl.Run(w)
 }
 
-// runAll simulates every system on the workload concurrently (each run is
-// an independent single-threaded simulation).
-func runAll(dep Deployment, specs []SystemSpec, w trace.Workload, sampleEvery time.Duration) (map[string]*engine.Result, error) {
-	type out struct {
-		name string
-		res  *engine.Result
-		err  error
+// runOne simulates one system on one workload: one device is a
+// one-replica round-robin cluster.
+func runOne(dep Deployment, spec SystemSpec, w trace.Workload, sampleEvery time.Duration) (*engine.Result, error) {
+	res, err := simulate(cluster.Config{Policy: router.NewRoundRobin(), SampleEvery: sampleEvery},
+		buildSystem(dep, spec), w)
+	if err != nil {
+		return nil, err
 	}
-	ch := make(chan out, len(specs))
+	return res.PerReplica[0].Result, nil
+}
+
+// parallel runs fn(0) … fn(n-1) each in its own goroutine and waits for
+// all of them: every table cell is an independent simulation.
+func parallel(n int, fn func(i int)) {
 	var wg sync.WaitGroup
-	for _, spec := range specs {
-		spec := spec
-		wg.Add(1)
-		go func() {
+	wg.Add(n)
+	for i := 0; i < n; i++ {
+		go func(i int) {
 			defer wg.Done()
-			res, err := runOne(dep, spec, w, sampleEvery)
-			ch <- out{spec.Name, res, err}
-		}()
+			fn(i)
+		}(i)
 	}
 	wg.Wait()
-	close(ch)
+}
+
+// runAll simulates every system on the workload concurrently.
+func runAll(dep Deployment, specs []SystemSpec, w trace.Workload, sampleEvery time.Duration) (map[string]*engine.Result, error) {
+	res := make([]*engine.Result, len(specs))
+	errs := make([]error, len(specs))
+	parallel(len(specs), func(i int) {
+		res[i], errs[i] = runOne(dep, specs[i], w, sampleEvery)
+	})
 	results := make(map[string]*engine.Result, len(specs))
-	for o := range ch {
-		if o.err != nil {
-			return nil, fmt.Errorf("%s: %w", o.name, o.err)
+	for i, spec := range specs {
+		if errs[i] != nil {
+			return nil, fmt.Errorf("%s: %w", spec.Name, errs[i])
 		}
-		results[o.name] = o.res
+		results[spec.Name] = res[i]
 	}
 	return results, nil
 }

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 	"time"
 
 	"repro/internal/autoscale"
@@ -81,41 +80,29 @@ func ExpAutoscale() (*Table, error) {
 	for i, v := range variants {
 		cells[i] = cell{v: v}
 	}
-	var wg sync.WaitGroup
-	for i := range cells {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v := cells[i].v
-			cfg := cluster.Config{
-				Replicas: maxReps,
-				Policy:   router.NewSessionAffinity(),
+	parallel(len(cells), func(i int) {
+		v := cells[i].v
+		cfg := cluster.Config{
+			Replicas: maxReps,
+			Policy:   router.NewSessionAffinity(),
+		}
+		switch v.mode {
+		case "fixed-1":
+			cfg.Replicas = minReps
+		case "fixed-4":
+			// static pool at max size
+		default:
+			cfg.Topology = &fabric.Spec{LinkGBps: v.icGBps}
+			cfg.Autoscale = &cluster.AutoscaleConfig{
+				Policy:  autoscale.NewQueuePressure(autoscale.QueuePressureConfig{}),
+				Min:     minReps,
+				Max:     maxReps,
+				Warmup:  time.Duration(v.warmup * float64(time.Second)),
+				Prewarm: v.mode == "prewarm",
 			}
-			switch v.mode {
-			case "fixed-1":
-				cfg.Replicas = minReps
-			case "fixed-4":
-				// static pool at max size
-			default:
-				cfg.Topology = &fabric.Spec{LinkGBps: v.icGBps}
-				cfg.Autoscale = &cluster.AutoscaleConfig{
-					Policy:  autoscale.NewQueuePressure(autoscale.QueuePressureConfig{}),
-					Min:     minReps,
-					Max:     maxReps,
-					Warmup:  time.Duration(v.warmup * float64(time.Second)),
-					Prewarm: v.mode == "prewarm",
-				}
-			}
-			cl, err := cluster.New(cfg, buildReplica(dep))
-			if err != nil {
-				cells[i].err = err
-				return
-			}
-			cells[i].res, cells[i].err = cl.Run(spikeWorkload(v.spikeEvery))
-		}()
-	}
-	wg.Wait()
+		}
+		cells[i].res, cells[i].err = simulate(cfg, buildReplica(dep), spikeWorkload(v.spikeEvery))
+	})
 
 	t := &Table{
 		ID: "Autoscale",

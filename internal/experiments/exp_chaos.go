@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/chaos"
@@ -83,25 +82,13 @@ func RunChaosCells() (*ChaosCells, error) {
 	specs := []*chaos.Spec{nil, chaosCrashSpec(0), chaosCrashSpec(2)}
 	results := make([]*cluster.Result, len(specs))
 	errs := make([]error, len(specs))
-	var wg sync.WaitGroup
-	for i := range specs {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			cl, err := cluster.New(cluster.Config{
-				Replicas: 4,
-				Policy:   router.NewSessionAffinity(),
-				Chaos:    specs[i],
-			}, buildReplicaKV(dep4090Llama, kv))
-			if err != nil {
-				errs[i] = err
-				return
-			}
-			results[i], errs[i] = cl.Run(w)
-		}()
-	}
-	wg.Wait()
+	parallel(len(specs), func(i int) {
+		results[i], errs[i] = simulate(cluster.Config{
+			Replicas: 4,
+			Policy:   router.NewSessionAffinity(),
+			Chaos:    specs[i],
+		}, buildReplicaKV(dep4090Llama, kv), w)
+	})
 	for i, err := range errs {
 		if err != nil {
 			return nil, fmt.Errorf("chaos cell %d: %w", i, err)

@@ -2,14 +2,12 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/engine"
-	"repro/internal/fabric"
 	"repro/internal/router"
-	"repro/internal/simclock"
+	"repro/internal/sched"
 	"repro/internal/trace"
 )
 
@@ -36,18 +34,9 @@ func buildReplica(dep Deployment) cluster.BuildEngine {
 // buildReplicaKV is buildReplica with an explicit KV policy (the fabric
 // experiment enables the host-tier prefix cache).
 func buildReplicaKV(dep Deployment, kv engine.KVPolicy) cluster.BuildEngine {
-	return func(_ int, clock *simclock.Clock, ep *fabric.Endpoint) (*engine.Engine, error) {
-		return engine.New(engine.Config{
-			GPU:         dep.GPU,
-			Model:       dep.Model,
-			MemFraction: dep.MemFraction,
-			MaxBatch:    dep.MaxBatch,
-			Scheduler:   core.MustNew(core.DefaultConfig()),
-			KV:          kv,
-			Clock:       clock,
-			Fabric:      ep,
-		})
-	}
+	return buildSystem(dep, SystemSpec{"tokenflow", func() (sched.Scheduler, engine.KVPolicy) {
+		return core.MustNew(core.DefaultConfig()), kv
+	}})
 }
 
 // ExpCluster studies horizontal scaling: QoS and P99 TTFT versus replica
@@ -72,29 +61,17 @@ func ExpCluster() (*Table, error) {
 			cells = append(cells, cell{replicas: n, policy: p})
 		}
 	}
-	var wg sync.WaitGroup
-	for i := range cells {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pol, err := router.ByName(cells[i].policy)
-			if err != nil {
-				cells[i].err = err
-				return
-			}
-			cl, err := cluster.New(cluster.Config{
-				Replicas: cells[i].replicas,
-				Policy:   pol,
-			}, buildReplica(dep))
-			if err != nil {
-				cells[i].err = err
-				return
-			}
-			cells[i].res, cells[i].err = cl.Run(w)
-		}()
-	}
-	wg.Wait()
+	parallel(len(cells), func(i int) {
+		pol, err := router.ByName(cells[i].policy)
+		if err != nil {
+			cells[i].err = err
+			return
+		}
+		cells[i].res, cells[i].err = simulate(cluster.Config{
+			Replicas: cells[i].replicas,
+			Policy:   pol,
+		}, buildReplica(dep), w)
+	})
 
 	t := &Table{
 		ID:    "Cluster",

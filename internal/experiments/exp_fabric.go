@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
@@ -47,28 +46,16 @@ func ExpFabric() (*Table, error) {
 	}
 	kv := engine.TokenFlowKVPolicy()
 	kv.HostCache = true
-	var wg sync.WaitGroup
-	for i := range cells {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v := cells[i].v
-			cl, err := cluster.New(cluster.Config{
-				Replicas:        len(mix.gpus),
-				Policy:          router.NewSessionAffinity(),
-				Migrate:         true,
-				MigrationPolicy: v.policy,
-				Topology:        &fabric.Spec{Kind: v.topo, LinkGBps: v.nic},
-			}, buildMixKV(mix, kv))
-			if err != nil {
-				cells[i].err = err
-				return
-			}
-			cells[i].res, cells[i].err = cl.Run(w)
-		}()
-	}
-	wg.Wait()
+	parallel(len(cells), func(i int) {
+		v := cells[i].v
+		cells[i].res, cells[i].err = simulate(cluster.Config{
+			Replicas:        len(mix.gpus),
+			Policy:          router.NewSessionAffinity(),
+			Migrate:         true,
+			MigrationPolicy: v.policy,
+			Topology:        &fabric.Spec{Kind: v.topo, LinkGBps: v.nic},
+		}, buildMixKV(mix, kv), w)
+	})
 
 	t := &Table{
 		ID: "Fabric",

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -92,30 +91,18 @@ func ExpHetero() (*Table, error) {
 			cells = append(cells, cell{mix: mix, v: v})
 		}
 	}
-	var wg sync.WaitGroup
-	for i := range cells {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			pol, err := router.ByName(cells[i].v.policy)
-			if err != nil {
-				cells[i].err = err
-				return
-			}
-			cl, err := cluster.New(cluster.Config{
-				Replicas: len(cells[i].mix.gpus),
-				Policy:   pol,
-				Migrate:  cells[i].v.migrate,
-			}, buildMix(cells[i].mix))
-			if err != nil {
-				cells[i].err = err
-				return
-			}
-			cells[i].res, cells[i].err = cl.Run(w)
-		}()
-	}
-	wg.Wait()
+	parallel(len(cells), func(i int) {
+		pol, err := router.ByName(cells[i].v.policy)
+		if err != nil {
+			cells[i].err = err
+			return
+		}
+		cells[i].res, cells[i].err = simulate(cluster.Config{
+			Replicas: len(cells[i].mix.gpus),
+			Policy:   pol,
+			Migrate:  cells[i].v.migrate,
+		}, buildMix(cells[i].mix), w)
+	})
 
 	t := &Table{
 		ID: "Hetero",

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"sync"
 
 	"repro/internal/cluster"
 	"repro/internal/prefixindex"
@@ -70,39 +69,28 @@ func RunRoutingCurve() (*RoutingCurve, error) {
 	dep := dep4090Llama
 	w := clusterWorkload()
 	run := func(pol router.Policy, spec *prefixindex.Spec) (*cluster.Result, error) {
-		cl, err := cluster.New(cluster.Config{
+		return simulate(cluster.Config{
 			Replicas:    routingReplicas,
 			Policy:      pol,
 			PrefixIndex: spec,
-		}, buildReplica(dep))
-		if err != nil {
-			return nil, err
-		}
-		return cl.Run(w)
+		}, buildReplica(dep), w)
 	}
 
 	curve := &RoutingCurve{Points: make([]RoutingPoint, len(routingLags))}
 	errs := make([]error, len(routingLags)+2)
-	var wg sync.WaitGroup
-	wg.Add(len(routingLags) + 2)
-	go func() {
-		defer wg.Done()
-		curve.Affinity, errs[0] = run(router.NewSessionAffinity(), nil)
-	}()
-	go func() {
-		defer wg.Done()
-		curve.LeastQueue, errs[1] = run(router.NewLeastQueue(), nil)
-	}()
-	for i, lag := range routingLags {
-		i, lag := i, lag
-		go func() {
-			defer wg.Done()
+	parallel(len(errs), func(i int) {
+		switch i {
+		case 0:
+			curve.Affinity, errs[0] = run(router.NewSessionAffinity(), nil)
+		case 1:
+			curve.LeastQueue, errs[1] = run(router.NewLeastQueue(), nil)
+		default:
+			lag := routingLags[i-2]
 			res, err := run(router.NewIndexedSessionAffinity(), routingSpec(lag))
-			curve.Points[i] = RoutingPoint{LagSeconds: lag, Res: res}
-			errs[i+2] = err
-		}()
-	}
-	wg.Wait()
+			curve.Points[i-2] = RoutingPoint{LagSeconds: lag, Res: res}
+			errs[i] = err
+		}
+	})
 	for _, err := range errs {
 		if err != nil {
 			return nil, err

@@ -112,7 +112,6 @@ func runScaleWith(pol router.Policy, spec *prefixindex.Spec, shards int, o obs.O
 		Policy:      pol,
 		PrefixIndex: spec,
 		Shards:      shards,
-		MaxSimTime:  4 * time.Hour,
 		Obs:         o,
 	}, buildReplica(dep4090Llama))
 	if err != nil {

@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/autoscale"
@@ -88,50 +87,38 @@ func ExpSLO() (*Table, error) {
 	for i, v := range variants {
 		cells[i] = cell{v: v}
 	}
-	var wg sync.WaitGroup
-	for i := range cells {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			v := cells[i].v
-			cfg := cluster.Config{
-				Replicas: maxReps,
-				Policy:   router.NewSessionAffinity(),
-			}
+	parallel(len(cells), func(i int) {
+		v := cells[i].v
+		cfg := cluster.Config{
+			Replicas: maxReps,
+			Policy:   router.NewSessionAffinity(),
+		}
+		switch v.mode {
+		case "fixed-1":
+			cfg.Replicas = minReps
+		case "fixed-4":
+			// static pool at max size
+		default:
+			var pol autoscale.Policy
 			switch v.mode {
-			case "fixed-1":
-				cfg.Replicas = minReps
-			case "fixed-4":
-				// static pool at max size
-			default:
-				var pol autoscale.Policy
-				switch v.mode {
-				case "reactive":
-					pol = autoscale.NewQueuePressure(autoscale.QueuePressureConfig{})
-				case "predictive":
-					pol = autoscale.NewPredictive(autoscale.PredictiveConfig{})
-				case "slo":
-					pol = autoscale.NewSLOTarget(autoscale.SLOTargetConfig{
-						TargetP99: time.Duration(v.target * float64(time.Second)),
-					})
-				}
-				cfg.Autoscale = &cluster.AutoscaleConfig{
-					Policy: pol,
-					Min:    minReps, Max: maxReps,
-					Warmup:  warmup,
-					Prewarm: true,
-				}
+			case "reactive":
+				pol = autoscale.NewQueuePressure(autoscale.QueuePressureConfig{})
+			case "predictive":
+				pol = autoscale.NewPredictive(autoscale.PredictiveConfig{})
+			case "slo":
+				pol = autoscale.NewSLOTarget(autoscale.SLOTargetConfig{
+					TargetP99: time.Duration(v.target * float64(time.Second)),
+				})
 			}
-			cl, err := cluster.New(cfg, buildReplica(dep))
-			if err != nil {
-				cells[i].err = err
-				return
+			cfg.Autoscale = &cluster.AutoscaleConfig{
+				Policy: pol,
+				Min:    minReps, Max: maxReps,
+				Warmup:  warmup,
+				Prewarm: true,
 			}
-			cells[i].res, cells[i].err = cl.Run(sloWorkload(v.shape))
-		}()
-	}
-	wg.Wait()
+		}
+		cells[i].res, cells[i].err = simulate(cfg, buildReplica(dep), sloWorkload(v.shape))
+	})
 
 	t := &Table{
 		ID: "SLO",

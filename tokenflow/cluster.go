@@ -123,13 +123,13 @@ type ClusterConfig struct {
 	// Shards partitions the replicas across parallel worker goroutines
 	// (replica i runs on shard i mod Shards, each on its own sub-clock,
 	// synchronized at every cross-replica event). The run stays
-	// deterministic and produces results identical to Shards=0 — only
-	// wall-clock time changes. Clamped to the replica count. The flight
-	// recorder is sharded-safe: each shard records into its own sink and
-	// the streams merge deterministically, so every Obs layer — events,
-	// series, profile, attribution — exports byte-identically to the
-	// single-threaded run. 0 or 1 keeps the single-threaded loop;
-	// negative is an error.
+	// deterministic and produces results identical to Shards=0, timed-out
+	// runs included — only wall-clock time changes. Clamped to the replica
+	// count. The flight recorder is sharded-safe: each shard records into
+	// its own sink and the streams merge deterministically, so every Obs
+	// layer — events, series, profile, attribution — exports
+	// byte-identically to the single-threaded run. 0 or 1 runs every
+	// replica on one clock; negative is an error.
 	Shards int
 
 	// Chaos injects faults on the virtual clock — replica crashes,
@@ -576,8 +576,7 @@ type ClusterResult struct {
 	Router RouterPolicy
 
 	// Cluster is the merged cluster-level report: TTFT percentiles,
-	// throughput, and QoS over every request across replicas. With one
-	// replica and round-robin routing it is identical to Run's Result.
+	// throughput, and QoS over every request across replicas.
 	Cluster *Result
 
 	// Replicas lists per-replica results in replica order.
@@ -669,9 +668,18 @@ func expandReplicaSpecs(cfg ClusterConfig) ([]ReplicaSpec, error) {
 // the heterogeneous layout of ReplicaSpecs) serving the workload behind
 // the selected routing policy, all on one virtual clock.
 func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
+	return runCluster(cfg, w, "")
+}
+
+// runCluster is RunCluster with the obs capture's scenario label; empty
+// selects "cluster-<router>".
+func runCluster(cfg ClusterConfig, w Workload, scenario string) (*ClusterResult, error) {
 	cfg.Config = cfg.Config.withDefaults()
 	if cfg.Router == "" {
 		cfg.Router = RouterRoundRobin
+	}
+	if scenario == "" {
+		scenario = "cluster-" + string(cfg.Router)
 	}
 	reps, err := expandReplicaSpecs(cfg)
 	if err != nil {
@@ -730,7 +738,6 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 			return nil, err
 		}
 		ecfg.Clock = clock
-		ecfg.SampleEvery = 0 // the cluster drives sampling
 		ecfg.Fabric = ep
 		return engine.New(ecfg)
 	})
@@ -799,7 +806,7 @@ func RunCluster(cfg ClusterConfig, w Workload) (*ClusterResult, error) {
 		})
 	}
 	if res.Obs != nil {
-		out.Obs = newObsCapture(res.Obs, "cluster-"+string(cfg.Router), wall)
+		out.Obs = newObsCapture(res.Obs, scenario, wall)
 		if cfg.Obs.Out != "" {
 			if _, err := out.Obs.WriteFiles(cfg.Obs.Out); err != nil {
 				return nil, err

@@ -1,56 +1,12 @@
 package tokenflow_test
 
 import (
-	"reflect"
 	"sort"
 	"strings"
 	"testing"
 
 	"repro/tokenflow"
 )
-
-// TestRunClusterSingleReplicaMatchesRun is the cluster subsystem's anchor:
-// one replica behind round-robin routing must reproduce the single-device
-// Run byte for byte — same report, same per-request stats, same samples.
-func TestRunClusterSingleReplicaMatchesRun(t *testing.T) {
-	workloads := map[string]tokenflow.Workload{
-		"burst":    tokenflow.BurstWorkload(48, 512, 1024, 20, 42),
-		"sessions": tokenflow.SessionWorkload(16, 60, 20, 42),
-	}
-	for name, w := range workloads {
-		name, w := name, w
-		t.Run(name, func(t *testing.T) {
-			cfg := tokenflow.Config{
-				System:             tokenflow.SystemTokenFlow,
-				GPU:                "RTX-4090",
-				Model:              "Llama3-8B",
-				SampleEverySeconds: 5,
-			}
-			solo, err := tokenflow.Run(cfg, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			cres, err := tokenflow.RunCluster(tokenflow.ClusterConfig{
-				Config:   cfg,
-				Replicas: 1,
-				Router:   tokenflow.RouterRoundRobin,
-			}, w)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !reflect.DeepEqual(cres.Cluster, solo) {
-				t.Errorf("1-replica cluster result differs from Run:\ncluster: %+v\nsolo:    %+v",
-					cres.Cluster, solo)
-			}
-			if len(cres.Replicas) != 1 || cres.Replicas[0].Routed != len(w) {
-				t.Errorf("replica stats %+v, want 1 replica with %d routed", cres.Replicas, len(w))
-			}
-			if cres.Imbalance != 1 {
-				t.Errorf("single-replica imbalance %v, want 1", cres.Imbalance)
-			}
-		})
-	}
-}
 
 // TestSessionAffinityBeatsRoundRobin is the cluster experiment's headline
 // claim: on a 4-replica cluster serving a multi-turn spike workload,

@@ -26,8 +26,7 @@ type ObsSpec struct {
 	// depth, KV utilization and host-mirror bytes, per-link fabric
 	// busy/backlog, active replica count, gateway depth, and the
 	// autoscaler's full signal vector. Series ride the cluster's sampling
-	// loop, so they need SampleEverySeconds set and a RunCluster run;
-	// single-device Run records no series.
+	// loop, so they need SampleEverySeconds set.
 	Series bool
 
 	// Profile times the simulator's own phases (control tick, engine

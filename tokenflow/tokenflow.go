@@ -27,7 +27,6 @@ import (
 	"repro/internal/gpu"
 	"repro/internal/metrics"
 	"repro/internal/model"
-	"repro/internal/obs"
 	"repro/internal/request"
 	"repro/internal/sched"
 	"repro/internal/simclock"
@@ -211,37 +210,17 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Run simulates the deployment serving the workload.
+// Run simulates the deployment serving the workload. One device is a
+// one-replica round-robin cluster: Run is RunCluster's path, reporting the
+// replica's own result, with the system name as the capture's scenario.
 func Run(cfg Config, w Workload) (*Result, error) {
-	cfg = cfg.withDefaults()
-	ecfg, err := buildEngineConfig(cfg)
+	cfg.Obs.Attribution = false // cluster-level only; see ObsSpec.Attribution
+	cres, err := runCluster(ClusterConfig{Config: cfg}, w, string(cfg.withDefaults().System))
 	if err != nil {
 		return nil, err
 	}
-	e, err := engine.New(ecfg)
-	if err != nil {
-		return nil, err
-	}
-	spec := cfg.Obs
-	spec.Attribution = false // cluster-level only; see ObsSpec.Attribution
-	cap := obs.NewCapture(spec.options())
-	if cap != nil {
-		e.SetObs(cap.Recorder(), cap.Prof(), 0)
-	}
-	start := time.Now()
-	res, err := e.Run(toTrace(w))
-	if err != nil {
-		return nil, err
-	}
-	out := convert(cfg.System, res)
-	if cap != nil {
-		out.Obs = newObsCapture(cap, string(cfg.System), time.Since(start))
-		if cfg.Obs.Out != "" {
-			if _, err := out.Obs.WriteFiles(cfg.Obs.Out); err != nil {
-				return nil, err
-			}
-		}
-	}
+	out := cres.Replicas[0].Result
+	out.Obs = cres.Obs
 	return out, nil
 }
 
@@ -259,8 +238,6 @@ func buildEngineConfig(cfg Config) (engine.Config, error) {
 		GPU:         g,
 		Model:       m,
 		MemFraction: cfg.MemFraction,
-		SampleEvery: simclock.Duration(cfg.SampleEverySeconds),
-		MaxSimTime:  simclock.Duration(cfg.MaxSimTimeSeconds),
 		QoS:         metrics.DefaultQoSParams(),
 	}
 	switch cfg.System {
@@ -321,8 +298,8 @@ func convert(sys System, res *engine.Result) *Result {
 	return convertParts(sys, res.Report, res.Requests, res.Samples, res.Makespan, res.TimedOut)
 }
 
-// convertParts assembles the public Result from report pieces; the single-
-// device and cluster paths share it so their outputs stay comparable
+// convertParts assembles the public Result from report pieces; the
+// cluster-wide and per-replica results share it so they stay comparable
 // field for field.
 func convertParts(sys System, rep metrics.Report, reqs []*request.Request,
 	samples []request.Sample, makespan time.Duration, timedOut bool) *Result {
