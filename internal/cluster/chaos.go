@@ -62,14 +62,11 @@ func pairKey(x, y int) linkKey {
 	return linkKey{x, y}
 }
 
-// flight is one pin transfer on the interconnect wire, registered so a
-// crash or link flap can tear it down mid-flight. req, when set, is the
-// routed request whose inject rides the transfer completion.
-type flight struct {
-	donor, target *replica
-	session       int
-	handle        simclock.Handle
-	req           *request.Request
+// pendingRetry is one orphan waiting out its backoff before the
+// attempt-th re-entry.
+type pendingRetry struct {
+	req     *request.Request
+	attempt int
 }
 
 // repinJob asks one surviving replica to re-pin a session from its own
@@ -93,10 +90,10 @@ type chaosRuntime struct {
 	spec *chaos.Spec
 	plan []chaos.Fault
 
-	// retryPending counts orphans between crash and re-entry;
+	// retries holds the orphans between crash and re-entry;
 	// replicationsInFlight bounds concurrent redundancy transfers (copies
 	// and re-pins share the budget). Both hold done() false.
-	retryPending         int
+	retries              []pendingRetry
 	replicationsInFlight int
 
 	// repinQueue holds post-crash mirror re-pins awaiting a concurrency
@@ -106,10 +103,8 @@ type chaosRuntime struct {
 	copying    map[copyKey]bool
 	failed     []*request.Request
 
-	// linkDown maps a flapped pair to the instant it recovers; flights is
-	// the in-flight pin-transfer registry aborts tear down.
+	// linkDown maps a flapped pair to the instant it recovers.
 	linkDown map[linkKey]simclock.Time
-	flights  []*flight
 }
 
 // initChaos normalizes the spec and arms the runtime when it is active.
@@ -203,10 +198,8 @@ func (c *Cluster) injectCrash(rep *replica, now simclock.Time) {
 	}
 
 	detect := now.Add(c.chaos.spec.DetectDelay)
-	backoff := c.chaos.spec.RetryBackoff
 	for _, r := range orphans {
-		attempt := r.Retries + 1
-		c.scheduleRetry(r, attempt, detect.Add(retryDelay(backoff, attempt)))
+		c.scheduleRetry(r, r.Retries+1, detect)
 	}
 
 	// Queue the mirror-driven re-pins: for each lost pin, the first
@@ -235,19 +228,57 @@ func (c *Cluster) injectCrash(rep *replica, now simclock.Time) {
 	}
 }
 
-// retryDelay is the exponential backoff for the attempt-th re-entry.
-func retryDelay(base time.Duration, attempt int) time.Duration {
-	return base << uint(attempt-1)
+// retryAt is the instant of the attempt-th re-entry: from plus the
+// exponential backoff base·2^(attempt-1). Past the representable range the
+// delay and the instant saturate at the clock's last schedulable instant
+// instead of wrapping into the past — one short of Forever, which the run
+// loop reads as an empty queue, so a retry parked there times the run out
+// rather than ending it as complete.
+func retryAt(from simclock.Time, base time.Duration, attempt int) simclock.Time {
+	const last = simclock.Forever - 1
+	shift := uint(attempt - 1)
+	if from >= last || shift >= 63 || base > time.Duration(last-from)>>shift {
+		return last
+	}
+	return from.Add(base << shift)
 }
 
-// scheduleRetry arms one orphan's re-entry. retryPending holds the run
-// open until every orphan resolves (re-routed, buffered, or failed).
-func (c *Cluster) scheduleRetry(r *request.Request, attempt int, at simclock.Time) {
-	c.chaos.retryPending++
-	c.clock.At(at, func(now simclock.Time) {
-		c.chaos.retryPending--
+// scheduleRetry arms one orphan's attempt-th re-entry, backing off from
+// the given instant. The orphan waits in retries, which holds the run open
+// until it resolves (re-routed, buffered, or failed).
+func (c *Cluster) scheduleRetry(r *request.Request, attempt int, from simclock.Time) {
+	c.chaos.retries = append(c.chaos.retries, pendingRetry{req: r, attempt: attempt})
+	c.clock.At(retryAt(from, c.chaos.spec.RetryBackoff, attempt), func(now simclock.Time) {
+		for i, p := range c.chaos.retries {
+			if p.req == r {
+				c.chaos.retries = append(c.chaos.retries[:i], c.chaos.retries[i+1:]...)
+				break
+			}
+		}
 		c.retryNow(r, attempt, now)
 	})
+}
+
+// failRetry gives up on an orphan: it enters the population unfinished
+// (censored TTFT, zero output) and counts as a retry failure.
+func (c *Cluster) failRetry(r *request.Request, attempt int, now simclock.Time) {
+	r.ResetForRetry(c.clock)
+	c.chaos.failed = append(c.chaos.failed, r)
+	c.out.RetryFailures++
+	c.rec.Emit(now, obs.KindRetry, -1, r.ID, r.Session,
+		int64(attempt), 0, 0, 0, "failed")
+}
+
+// failPendingRetries fails every orphan still waiting out its backoff when
+// the run stopped at its deadline, so a timed-out run loses no request.
+func (c *Cluster) failPendingRetries(now simclock.Time) {
+	if c.chaos == nil {
+		return
+	}
+	for _, p := range c.chaos.retries {
+		c.failRetry(p.req, p.attempt, now)
+	}
+	c.chaos.retries = nil
 }
 
 // retryNow re-enters one orphaned request: re-route to the survivor with
@@ -276,14 +307,10 @@ func (c *Cluster) retryNow(r *request.Request, attempt int, now simclock.Time) {
 		if attempt < spec.RetryMax {
 			// No capacity yet (a double crash before backfill lands here):
 			// burn one attempt and back off again.
-			c.scheduleRetry(r, attempt+1, now.Add(retryDelay(spec.RetryBackoff, attempt+1)))
+			c.scheduleRetry(r, attempt+1, now)
 			return
 		}
-		r.ResetForRetry(c.clock)
-		c.chaos.failed = append(c.chaos.failed, r)
-		c.out.RetryFailures++
-		c.rec.Emit(now, obs.KindRetry, -1, r.ID, r.Session,
-			int64(attempt), 0, 0, 0, "failed")
+		c.failRetry(r, attempt, now)
 		return
 	}
 	// Prefix-aware placement: a survivor already holding the session's
@@ -362,23 +389,11 @@ func (c *Cluster) injectLinkFlap(f chaos.Fault, now simclock.Time) {
 	})
 }
 
-// flightsTouching lists the in-flight pin transfers with the replica at
-// either end, in booking order.
-func (c *Cluster) flightsTouching(rep *replica) []*flight {
-	var out []*flight
-	for _, fl := range c.chaos.flights {
-		if fl.donor == rep || fl.target == rep {
-			out = append(out, fl)
-		}
-	}
-	return out
-}
-
 // flightsCrossing lists the in-flight pin transfers over the pair, in
 // booking order.
 func (c *Cluster) flightsCrossing(key linkKey) []*flight {
 	var out []*flight
-	for _, fl := range c.chaos.flights {
+	for _, fl := range c.flights {
 		if pairKey(fl.donor.id, fl.target.id) == key {
 			out = append(out, fl)
 		}
@@ -386,37 +401,14 @@ func (c *Cluster) flightsCrossing(key linkKey) []*flight {
 	return out
 }
 
-// registerFlight records one pin transfer in the abort registry.
-func (c *Cluster) registerFlight(fl *flight) {
-	if c.chaos != nil {
-		c.chaos.flights = append(c.chaos.flights, fl)
-	}
-}
-
-// removeFlight forgets a flight that completed or aborted.
-func (c *Cluster) removeFlight(fl *flight) {
-	if c.chaos == nil {
-		return
-	}
-	for i, f := range c.chaos.flights {
-		if f == fl {
-			c.chaos.flights = append(c.chaos.flights[:i], c.chaos.flights[i+1:]...)
-			return
-		}
-	}
-}
-
 // abortFlight tears one pin transfer off the wire: the completion event
-// cancels, the migration gating unwinds, a surviving donor un-stakes its
+// cancels, the flight leaves the registry, a surviving donor un-stakes its
 // pin, and a routed request riding the transfer is delivered to recompute —
 // or handed to the retry path when its target is the replica that died.
 // The booked bytes stay booked on both ledgers (book-time accounting).
 func (c *Cluster) abortFlight(fl *flight, now simclock.Time) {
 	c.removeFlight(fl)
 	c.clock.Cancel(fl.handle)
-	c.migrationsInFlight--
-	fl.donor.outMigrations--
-	fl.target.inMigrations--
 	c.out.MigrationsAborted++
 	if !fl.donor.eng.Crashed() {
 		fl.donor.eng.AbortPrefixMigration(fl.session)
@@ -430,10 +422,7 @@ func (c *Cluster) abortFlight(fl *flight, now simclock.Time) {
 		fl.target.eng.InjectCause(fl.req, now, obs.QueueCauseMigrate)
 		return
 	}
-	attempt := fl.req.Retries + 1
-	detect := now.Add(c.chaos.spec.DetectDelay)
-	c.scheduleRetry(fl.req, attempt,
-		detect.Add(retryDelay(c.chaos.spec.RetryBackoff, attempt)))
+	c.scheduleRetry(fl.req, fl.req.Retries+1, now.Add(c.chaos.spec.DetectDelay))
 }
 
 // startRepins drains the post-crash re-pin queue under the replication

@@ -393,3 +393,41 @@ func BenchmarkChaosRecovery(b *testing.B) {
 		}
 	}
 }
+
+// TestChaosTimedOutRetriesKeepRequests: both replicas of a static pool die
+// at 5s mid-burst with a retry budget too deep to exhaust before the
+// default deadline, so the run times out with every orphan still backing
+// off. Those orphans must still reach the results — unfinished, counted
+// as retry failures, each with its failed retry event — so the full
+// invariant set holds on the timed-out run.
+func TestChaosTimedOutRetriesKeepRequests(t *testing.T) {
+	const n = 64
+	w := trace.Burst("burst", n, 0, trace.FixedLengths{Prompt: 256, Output: 1024},
+		trace.FixedRate(20), 1)
+	cl, err := cluster.New(cluster.Config{
+		Replicas: 2,
+		Policy:   router.NewLeastQueue(),
+		Chaos: &chaos.Spec{
+			Faults:   []chaos.Fault{crashFault(0, 5), crashFault(1, 5)},
+			RetryMax: 64,
+		},
+		Obs: obs.Options{Events: true},
+	}, buildTokenFlow())
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := cl.Run(w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.TimedOut {
+		t.Fatal("run did not time out with every orphan backing off")
+	}
+	if err := cluster.CheckInvariants(res, w.Len()); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Requests) != n || res.RetryFailures != n {
+		t.Errorf("%d requests in results, %d retry failures, want %d each",
+			len(res.Requests), res.RetryFailures, n)
+	}
+}

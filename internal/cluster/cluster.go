@@ -339,13 +339,6 @@ type replica struct {
 	state   autoscale.State
 	sinceOn simclock.Time
 	busy    time.Duration
-
-	// outMigrations counts this replica's pinned prefixes currently on
-	// the interconnect wire; inMigrations counts transfers (and their
-	// deferred request injects) still inbound. A draining replica turns
-	// off only once both reach zero.
-	outMigrations int
-	inMigrations  int
 }
 
 func (r *replica) ID() int                            { return r.id }
@@ -457,10 +450,11 @@ type Outcome struct {
 	// chaos.go). Crashes counts replica crash faults that landed on a live
 	// replica; Retries the orphaned requests re-entered (re-routed to a
 	// survivor or re-buffered through the gateway); RetryFailures the
-	// requests that exhausted the retry budget and failed permanently
-	// (they stay in Requests, unfinished, with censored TTFT). Backfills
-	// counts crashed replicas the autoscaler resurrected through the
-	// warm-up path. Replications / ReplicatedBytes total the redundancy
+	// requests that exhausted the retry budget and failed permanently,
+	// or were still waiting to retry when the run hit MaxSimTime (they
+	// stay in Requests, unfinished, with censored TTFT). Backfills counts
+	// crashed replicas the autoscaler resurrected through the warm-up
+	// path. Replications / ReplicatedBytes total the redundancy
 	// traffic (proactive mirror copies plus post-crash re-pins) on the
 	// fabric's replicate class. Brownouts and LinkFlaps count the faults
 	// injected; MigrationsAborted the pin transfers a crash or flap tore
@@ -640,7 +634,9 @@ type Cluster struct {
 	// field in place, and collect hands it to the Result.
 	out Outcome
 
-	migrationsInFlight int
+	// flights holds every pin transfer on the interconnect wire, in
+	// booking order (see lifecycle.go, migratePin).
+	flights []*flight
 
 	// Autoscaler bookkeeping (see lifecycle.go).
 	scaleEvents   []ScaleEvent
@@ -1099,10 +1095,10 @@ func (c *Cluster) maybeMigrate(r *request.Request, it trace.Item, target *replic
 // every replica drained its share (a replica routed zero requests counts
 // as drained).
 func (c *Cluster) done() bool {
-	if !c.arrivalsDone || c.migrationsInFlight > 0 || len(c.gateway) > 0 {
+	if !c.arrivalsDone || len(c.flights) > 0 || len(c.gateway) > 0 {
 		return false
 	}
-	if c.chaos != nil && (c.chaos.retryPending > 0 || c.chaos.replicationsInFlight > 0) {
+	if c.chaos != nil && (len(c.chaos.retries) > 0 || c.chaos.replicationsInFlight > 0) {
 		return false
 	}
 	for _, rep := range c.replicas {
@@ -1116,6 +1112,7 @@ func (c *Cluster) done() bool {
 // collect tears down every replica and assembles the cluster result.
 func (c *Cluster) collect(timedOut bool) *Result {
 	end := c.endNow()
+	c.failPendingRetries(end)
 	res := &Result{
 		Policy:        c.cfg.Policy.Name(),
 		Replicas:      len(c.replicas),
@@ -1161,9 +1158,10 @@ func (c *Cluster) collect(timedOut bool) *Result {
 		}
 	}
 	if c.chaos != nil {
-		// Requests that exhausted the retry budget belong to no replica;
-		// they enter the population unfinished (censored TTFT, zero output)
-		// so the cluster report prices the failures it caused.
+		// Requests that exhausted the retry budget (or timed out waiting
+		// to retry) belong to no replica; they enter the population
+		// unfinished (censored TTFT, zero output) so the cluster report
+		// prices the failures it caused.
 		res.Requests = append(res.Requests, c.chaos.failed...)
 	}
 	sort.SliceStable(res.Requests, func(i, j int) bool { return res.Requests[i].ID < res.Requests[j].ID })

@@ -314,16 +314,27 @@ func (c *Cluster) drainPins(rep *replica, now simclock.Time) {
 	}
 }
 
+// flight is one pin transfer on the interconnect wire. req, when set, is
+// the routed request whose inject rides the transfer completion.
+type flight struct {
+	donor, target *replica
+	session       int
+	handle        simclock.Handle
+	req           *request.Request
+}
+
 // migratePin ships one pinned prefix from donor to target over the
 // fabric, booked under the given transfer class and accounted against the
 // given counters; every cross-replica transfer (routing migration,
-// pre-warm, drain hand-off) funnels through it so the in/out-migration
-// gating stays in one place — and so all three classes contend for the
-// same topology links. onDone, if set, runs after the install attempt at
-// transfer completion (the routing path injects its deferred request
-// there); req is that path's deferred request, registered with the chaos
-// flight so a crash or link flap that tears the transfer down can still
-// deliver or retry it. It reports whether a migration started.
+// pre-warm, drain hand-off) funnels through it so the flight registry
+// (Cluster.flights) is kept in one place — and so all three classes
+// contend for the same topology links. The registry holds the run open,
+// keeps a draining donor or target in service until the transfer lands,
+// and lets a crash or link flap tear the transfer down. onDone, if set,
+// runs after the install attempt at transfer completion (the routing path
+// injects its deferred request there); req is that path's deferred
+// request, carried on the flight so an abort can still deliver or retry
+// it. It reports whether a migration started.
 func (c *Cluster) migratePin(donor, target *replica, session int, class fabric.Class,
 	now simclock.Time, count, tokenCount *int64, req *request.Request,
 	onDone func(now simclock.Time)) bool {
@@ -347,31 +358,52 @@ func (c *Cluster) migratePin(donor, target *replica, session int, class fabric.C
 	if tokenCount != nil {
 		*tokenCount += int64(tokens)
 	}
-	c.migrationsInFlight++
-	donor.outMigrations++
-	target.inMigrations++
-	var fl *flight
+	fl := &flight{donor: donor, target: target, session: session, req: req}
+	c.flights = append(c.flights, fl)
 	_, done := c.fab.BookBetween(class, donor.id, target.id, now, bytes)
-	handle := c.clock.At(done, func(t simclock.Time) {
-		if fl != nil {
-			c.removeFlight(fl)
-		}
+	fl.handle = c.clock.At(done, func(t simclock.Time) {
+		c.removeFlight(fl)
 		donor.eng.CompletePrefixMigration(session, t)
-		donor.outMigrations--
-		target.inMigrations--
 		if !target.eng.InstallMigratedPrefix(session, tokens, t) {
 			c.out.MigrationDrops++
 		}
-		c.migrationsInFlight--
 		if onDone != nil {
 			onDone(t)
 		}
 	})
-	if c.chaos != nil {
-		fl = &flight{donor: donor, target: target, session: session, handle: handle, req: req}
-		c.registerFlight(fl)
-	}
 	return true
+}
+
+// removeFlight forgets a flight that landed or aborted.
+func (c *Cluster) removeFlight(fl *flight) {
+	for i, f := range c.flights {
+		if f == fl {
+			c.flights = append(c.flights[:i], c.flights[i+1:]...)
+			return
+		}
+	}
+}
+
+// flightsTouching lists the pin transfers on the wire with the replica at
+// either end, in booking order.
+func (c *Cluster) flightsTouching(rep *replica) []*flight {
+	var out []*flight
+	for _, fl := range c.flights {
+		if fl.donor == rep || fl.target == rep {
+			out = append(out, fl)
+		}
+	}
+	return out
+}
+
+// inbound reports whether a pin transfer on the wire targets the replica.
+func (c *Cluster) inbound(rep *replica) bool {
+	for _, fl := range c.flights {
+		if fl.target == rep {
+			return true
+		}
+	}
+	return false
 }
 
 // sweepDrained retires draining replicas whose work has run dry: no
@@ -384,13 +416,13 @@ func (c *Cluster) sweepDrained(now simclock.Time) {
 		if rep.state != autoscale.Draining {
 			continue
 		}
-		if rep.eng.OutstandingRequests() > 0 || rep.inMigrations > 0 {
+		if rep.eng.OutstandingRequests() > 0 || c.inbound(rep) {
 			continue
 		}
 		if pins := rep.eng.HottestPrefixes(0); len(pins) > 0 {
 			c.drainPins(rep, now)
 		}
-		if rep.outMigrations > 0 || len(rep.eng.HottestPrefixes(0)) > 0 {
+		if len(c.flightsTouching(rep)) > 0 || len(rep.eng.HottestPrefixes(0)) > 0 {
 			continue // transfers still on the wire; retry next tick
 		}
 		rep.state = autoscale.Off

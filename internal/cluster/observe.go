@@ -121,7 +121,7 @@ func (c *Cluster) recordSampleSeries(now simclock.Time) {
 			}
 		}
 		c.reg.Observe(seriesChaosCrashed, now, float64(crashed))
-		c.reg.Observe(seriesChaosRetries, now, float64(c.chaos.retryPending))
+		c.reg.Observe(seriesChaosRetries, now, float64(len(c.chaos.retries)))
 		c.reg.Observe(seriesChaosCopies, now, float64(c.chaos.replicationsInFlight))
 	}
 	c.recordAttributionSeries(now)

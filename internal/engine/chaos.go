@@ -47,10 +47,10 @@ func (e *Engine) ClearCrashed() { e.crashed = false }
 // Crash kills the engine at now: all in-flight work is orphaned, every
 // pending engine event (iteration completion, boundary stall, scheduler
 // wakeup, deferred reload injects, client consumption ticks) is cancelled,
-// and the KV manager loses every byte it held. Orphans are removed from
-// the tracker — the dead replica's results must not count requests that
-// will retry elsewhere — and returned in request-id order. Requests that
-// already finished stay in the tracker: their tokens were delivered.
+// and the KV manager loses every byte it held. Orphans leave the
+// registration list — the dead replica's results must not count requests
+// that will retry elsewhere — and return in request-id order. Requests
+// that already finished stay registered: their tokens were delivered.
 func (e *Engine) Crash(now simclock.Time) (orphans []*request.Request, pinsLost, mirrorsLost int) {
 	if e.crashed {
 		return nil, 0, 0
@@ -67,7 +67,6 @@ func (e *Engine) Crash(now simclock.Time) (orphans []*request.Request, pinsLost,
 	e.batchBuf = e.batchBuf[:0]
 
 	take := func(r *request.Request) {
-		e.track.Remove(r)
 		r.CancelConsumption(e.clock)
 		orphans = append(orphans, r)
 	}
@@ -88,6 +87,15 @@ func (e *Engine) Crash(now simclock.Time) (orphans []*request.Request, pinsLost,
 	}
 	e.waiting, e.backlog, e.running = nil, nil, nil
 	e.preempted, e.loading = nil, nil
+	// Every registered request that had not finished sat in one of the
+	// queues just emptied.
+	kept := e.all[:0]
+	for _, r := range e.all {
+		if r.State == request.StateFinished {
+			kept = append(kept, r)
+		}
+	}
+	e.all = kept
 
 	// Reload-deferred arrivals were never registered; cancelling their
 	// delivery events is enough to orphan them.
@@ -97,7 +105,6 @@ func (e *Engine) Crash(now simclock.Time) (orphans []*request.Request, pinsLost,
 		orphans = append(orphans, d.req)
 	}
 	e.deferred = nil
-	e.pendingInjects = 0
 
 	pinsLost, mirrorsLost = e.mem.Crash()
 

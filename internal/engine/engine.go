@@ -4,6 +4,13 @@
 // pluggable scheduler, wired to the hierarchical KV cache manager and the
 // client consumption processes. One Engine simulates one device.
 //
+// The engine's queues (waiting, prefill backlog, running, preempted,
+// loading) are the paper's Request Tracker (§3.1): each live request sits
+// in exactly one of them, so the per-state counts the scheduler and the
+// Figure 14/15 timelines read are the queue lengths themselves. A
+// request's State always agrees with the queue holding it; the waiting
+// queue and the prefill backlog both hold queued requests.
+//
 // The engine is a pure event-driven component: it schedules its own
 // iterations, transfers and consumption ticks on the clock it is given, but
 // never steps that clock. Its owner drives the clock, delivers arrivals
@@ -222,7 +229,11 @@ type Engine struct {
 	cost  gpu.CostModel
 	ep    *fabric.Endpoint
 	mem   *kvcache.Manager
-	track *request.Tracker
+
+	// all registers every injected request in arrival order (the result
+	// population); samples is the queued/running series Sample appends.
+	all     []*request.Request
+	samples []request.Sample
 
 	waiting   []*request.Request
 	backlog   []*prefillJob
@@ -230,14 +241,12 @@ type Engine struct {
 	preempted []*request.Request
 	loading   []*request.Request
 
-	// pendingInjects counts arrivals deferred behind an in-flight host-tier
-	// prefix reload: the request is delivered together with its KV, so it
-	// is outstanding work the engine (and a draining replica) must wait
-	// for, though not yet registered in any queue. deferred tracks those
-	// arrivals and their clock handles so a crash can cancel the deliveries
-	// and orphan the requests.
-	pendingInjects int
-	deferred       []deferredInject
+	// deferred holds arrivals parked behind an in-flight host-tier prefix
+	// reload, with the clock handles delivering them: each request arrives
+	// together with its KV, so it is outstanding work the engine (and a
+	// draining replica) must wait for, though not yet registered in any
+	// queue, and a crash cancels the deliveries to orphan it.
+	deferred []deferredInject
 
 	gpuBusy bool
 	inKick  bool
@@ -349,7 +358,6 @@ func New(cfg Config) (*Engine, error) {
 		clock: cfg.Clock,
 		cost:  cost,
 		ep:    ep,
-		track: request.NewTracker(),
 	}
 	// One callback trio for the engine's lifetime: with at most one
 	// iteration (or boundary stall) in flight, completion state lives on
@@ -473,7 +481,7 @@ func (e *Engine) injectNow(r *request.Request, now simclock.Time, cause int64, i
 			e.prefixHitTokens += int64(hit)
 		}
 	}
-	e.track.Register(r)
+	e.all = append(e.all, r)
 	e.waiting = append(e.waiting, r)
 	e.obs.Emit(now, obs.KindQueue, e.obsReplica, r.ID, r.Session,
 		int64(r.CachedPrompt), obs.QueuePayload(cause, r.Turn),
@@ -507,18 +515,16 @@ func (e *Engine) tryHostReload(r *request.Request, now simclock.Time, cause int6
 	if !ok {
 		return false
 	}
-	e.pendingInjects++
+	e.deferred = append(e.deferred, deferredInject{req: r})
 	e.notifyLoad()
-	h := e.clock.At(done, func(t simclock.Time) {
+	e.deferred[len(e.deferred)-1].handle = e.clock.At(done, func(t simclock.Time) {
 		// The manager's install callback fired first (it was scheduled
 		// first for the same instant), so a successful reload is already a
 		// pin and injectNow assesses it as an ordinary hit; a dropped
 		// install falls back to a full recompute.
 		e.dropDeferred(r)
-		e.pendingInjects--
 		e.injectNow(r, t, cause|obs.QueueCauseReload, now)
 	})
-	e.deferred = append(e.deferred, deferredInject{req: r, handle: h})
 	return true
 }
 
@@ -557,8 +563,16 @@ func (e *Engine) CachedPrefixTokens(session int) int {
 	return e.mem.PeekPrefix(session)
 }
 
-// Sample appends one point to the engine's queued/running time series.
-func (e *Engine) Sample(now simclock.Time) { e.track.Sample(now) }
+// Sample appends one point to the engine's queued/running time series,
+// read off the queues: every request waiting for service (never admitted,
+// preempted, or loading) counts as queued, the running batch as running.
+func (e *Engine) Sample(now simclock.Time) {
+	e.samples = append(e.samples, request.Sample{
+		At:      now,
+		Queued:  len(e.waiting) + len(e.backlog) + len(e.preempted) + len(e.loading),
+		Running: len(e.running),
+	})
+}
 
 // FreeKVPages reports the free device KV pages (router hook).
 func (e *Engine) FreeKVPages() int { return e.mem.FreePages() }
@@ -628,7 +642,7 @@ func (e *Engine) DropPrefix(session int, now simclock.Time) bool {
 // this replica must still serve.
 func (e *Engine) OutstandingRequests() int {
 	return len(e.waiting) + len(e.backlog) + len(e.running) + len(e.preempted) +
-		len(e.loading) + e.pendingInjects
+		len(e.loading) + len(e.deferred)
 }
 
 // EstimatePrefill predicts the prefill compute time for n tokens on this
@@ -661,7 +675,7 @@ func (e *Engine) Collect() *Result {
 	e.teardown()
 
 	var makespan simclock.Time
-	for _, r := range e.track.All() {
+	for _, r := range e.all {
 		if r.FinishedAt > makespan {
 			makespan = r.FinishedAt
 		}
@@ -675,10 +689,10 @@ func (e *Engine) Collect() *Result {
 
 	return &Result{
 		Scheduler:           e.cfg.Scheduler.Name(),
-		Report:              metrics.Analyze(e.track.All(), makespan, e.cfg.QoS),
-		Samples:             e.track.Samples(),
+		Report:              metrics.Analyze(e.all, makespan, e.cfg.QoS),
+		Samples:             e.samples,
 		KV:                  e.mem.Stats(),
-		Requests:            e.track.All(),
+		Requests:            e.all,
 		Iterations:          e.iterations,
 		PrefillIters:        e.prefillIters,
 		DecodeIters:         e.decodeIters,
@@ -695,7 +709,7 @@ func (e *Engine) Collect() *Result {
 
 // teardown cancels outstanding consumption events after an aborted run.
 func (e *Engine) teardown() {
-	for _, r := range e.track.All() {
+	for _, r := range e.all {
 		r.CancelConsumption(e.clock)
 	}
 }

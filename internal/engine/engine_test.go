@@ -7,6 +7,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/gpu"
 	"repro/internal/model"
+	"repro/internal/request"
 	"repro/internal/sched"
 	"repro/internal/simclock"
 	"repro/internal/trace"
@@ -313,5 +314,110 @@ func BenchmarkBurstTokenFlow(b *testing.B) {
 		if _, err := drive(e, w); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// sampleAgainstStates appends one series point and checks it against the
+// per-state counts over the registered population — the formula of the
+// paper's Request Tracker (§3.1), which the queue lengths replaced:
+// queued = queued + preempted + loading, running = running. It reports
+// whether any request was preempted or loading at the instant.
+func sampleAgainstStates(t *testing.T, e *Engine, now simclock.Time) (switched bool) {
+	t.Helper()
+	e.Sample(now)
+	var by [request.StateFinished + 1]int
+	for _, r := range e.all {
+		by[r.State]++
+	}
+	got := e.samples[len(e.samples)-1]
+	queued := by[request.StateQueued] + by[request.StatePreempted] + by[request.StateLoading]
+	if got.Queued != queued || got.Running != by[request.StateRunning] {
+		t.Fatalf("at %v: sample queued=%d running=%d, state counts %v",
+			now, got.Queued, got.Running, by)
+	}
+	return by[request.StatePreempted]+by[request.StateLoading] > 0
+}
+
+// TestSamplesMatchStateCountsUnderOffload: every sample of a TokenFlow
+// offload run that preempts and loads equals the per-state counts.
+func TestSamplesMatchStateCountsUnderOffload(t *testing.T) {
+	const n = 12
+	const every = 50 * time.Millisecond
+	e, err := New(testConfig(core.MustNew(core.DefaultConfig()), TokenFlowKVPolicy()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prime(e, burst(n, 192, 256, 10)); err != nil {
+		t.Fatal(err)
+	}
+	switched := false
+	var sample func(now simclock.Time)
+	sample = func(now simclock.Time) {
+		if sampleAgainstStates(t, e, now) {
+			switched = true
+		}
+		if e.OutstandingRequests() > 0 {
+			e.clock.After(every, sample)
+		}
+	}
+	e.clock.At(0, sample)
+	for e.clock.Step() {
+	}
+	res := e.Collect()
+	if res.Report.Preemptions == 0 || res.KV.Loads == 0 || !switched {
+		t.Fatalf("run must preempt and load under sampling: preemptions=%d loads=%d sampled=%v",
+			res.Report.Preemptions, res.KV.Loads, switched)
+	}
+}
+
+// TestSamplesMatchStateCountsAcrossCrash: every sample equals the per-state
+// counts across a crash that orphans the live work and re-injects it, and
+// each request ends registered once and finished.
+func TestSamplesMatchStateCountsAcrossCrash(t *testing.T) {
+	const n = 12
+	const every = 50 * time.Millisecond
+	e, err := New(testConfig(core.MustNew(core.DefaultConfig()), TokenFlowKVPolicy()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := prime(e, burst(n, 192, 256, 10)); err != nil {
+		t.Fatal(err)
+	}
+	crashAt, backAt := simclock.FromSeconds(2), simclock.FromSeconds(3)
+	var orphans []*request.Request
+	e.clock.At(crashAt, func(now simclock.Time) {
+		orphans, _, _ = e.Crash(now)
+	})
+	e.clock.At(backAt, func(now simclock.Time) {
+		e.ClearCrashed()
+		for _, r := range orphans {
+			r.ResetForRetry(e.clock)
+			e.Inject(r, now)
+		}
+	})
+	var sample func(now simclock.Time)
+	sample = func(now simclock.Time) {
+		sampleAgainstStates(t, e, now)
+		if e.OutstandingRequests() > 0 || now < backAt {
+			e.clock.After(every, sample)
+		}
+	}
+	e.clock.At(0, sample)
+	for e.clock.Step() {
+	}
+	res := e.Collect()
+	if len(orphans) == 0 {
+		t.Fatal("crash at 2s orphaned nothing")
+	}
+	if len(res.Requests) != n || res.Report.Finished != n {
+		t.Fatalf("%d requests registered, %d finished, want %d each",
+			len(res.Requests), res.Report.Finished, n)
+	}
+	seen := map[int]bool{}
+	for _, r := range res.Requests {
+		if seen[r.ID] {
+			t.Fatalf("request %d registered twice", r.ID)
+		}
+		seen[r.ID] = true
 	}
 }

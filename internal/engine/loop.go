@@ -109,7 +109,7 @@ func (e *Engine) preemptRunning(r *request.Request, now simclock.Time) {
 	r.Preemptions++
 	e.running = removeReq(e.running, r)
 	e.preempted = append(e.preempted, r)
-	e.track.Transition(r, request.StatePreempted)
+	r.State = request.StatePreempted
 	e.obs.Emit(now, obs.KindPreempt, e.obsReplica, r.ID, r.Session,
 		int64(r.PromptLen), int64(r.Generated), 0, 0, "")
 }
@@ -150,7 +150,7 @@ func (e *Engine) resume(r *request.Request, mode sched.ResumeMode, now simclock.
 			r.LoadedResumes++
 			e.preempted = removeReq(e.preempted, r)
 			e.loading = append(e.loading, r)
-			e.track.Transition(r, request.StateLoading)
+			r.State = request.StateLoading
 			e.obs.Emit(now, obs.KindResume, e.obsReplica, r.ID, r.Session,
 				int64(r.PromptLen), int64(r.Generated), 0, 0, "load")
 			return
@@ -170,7 +170,7 @@ func (e *Engine) resume(r *request.Request, mode sched.ResumeMode, now simclock.
 		alloc:  r.PromptLen + r.Generated,
 		resume: true,
 	})
-	e.track.Transition(r, request.StateQueued)
+	r.State = request.StateQueued
 	e.obs.Emit(now, obs.KindResume, e.obsReplica, r.ID, r.Session,
 		int64(r.PromptLen), int64(r.Generated), 0, 0, "recompute")
 }
@@ -179,7 +179,7 @@ func (e *Engine) resume(r *request.Request, mode sched.ResumeMode, now simclock.
 func (e *Engine) onLoadDone(r *request.Request, now simclock.Time) {
 	e.loading = removeReq(e.loading, r)
 	e.running = append(e.running, r)
-	e.track.Transition(r, request.StateRunning)
+	r.State = request.StateRunning
 	e.kick(now)
 }
 
@@ -409,7 +409,7 @@ func (e *Engine) completePrefill(j *prefillJob, now simclock.Time) {
 	r.PrefilledTokens = r.PromptLen
 	e.backlog = removeJob(e.backlog, j)
 	e.running = append(e.running, r)
-	e.track.Transition(r, request.StateRunning)
+	r.State = request.StateRunning
 	if !r.GenerationDone() {
 		first := r.Generated == 0
 		r.DeliverTokens(e.clock, now, 1)
@@ -496,7 +496,7 @@ func (e *Engine) finish(r *request.Request, now simclock.Time) {
 		e.mem.Discard(r)
 	}
 	e.running = removeReq(e.running, r)
-	e.track.Transition(r, request.StateFinished)
+	r.State = request.StateFinished
 	e.obs.Emit(now, obs.KindComplete, e.obsReplica, r.ID, r.Session,
 		int64(r.Generated), int64(r.PromptLen), 0, 0, "")
 	e.notifyLoad()

@@ -338,3 +338,38 @@ func TestEstimateHostReloadSeesBacklog(t *testing.T) {
 		t.Errorf("backlogged estimate = %v, want %v + 50ms", withQueue, base)
 	}
 }
+
+// TestBudgetedReloadSurvivesOwnMirrorDrop: a reload lands on a pool that
+// must evict a colder pin to place it; that pin's new mirror overflows the
+// budget and drops the reloading session's own mirror first. The install
+// still succeeds and must not drop the already-dropped mirror again.
+func TestBudgetedReloadSurvivesOwnMirrorDrop(t *testing.T) {
+	rig := budgetRig(t, 25)
+	finishAs(t, rig, 1, 7, 160, 0) // 10 pages
+	rig.m.ReclaimPrefixPages(10, 0, 0)
+	rig.clock.Run()
+	now := rig.clock.Now()
+	if !rig.m.InstallPrefix(8, 320, now) { // 20 pages, fully synced
+		t.Fatal("installing pin 8 failed")
+	}
+	hog := newReq(2, 36*16, 1) // leaves 8 free pages: the reload must evict pin 8
+	if err := rig.m.AllocateResident(hog, 36*16); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, ok := rig.m.StartHostReload(7, now); !ok {
+		t.Fatal("reload should book")
+	}
+	rig.clock.Run()
+	if got := rig.m.TakePrefix(7); got != 160 {
+		t.Errorf("post-reload hit = %d, want 160", got)
+	}
+	if got := rig.m.HostMirrorTokens(8); got != 320 {
+		t.Errorf("evicted pin 8 mirrored %d tokens, want 320", got)
+	}
+	if got := rig.m.HostMirroredPages(); got != 20 {
+		t.Errorf("mirrored pages = %d, want 20 (only pin 8's mirror)", got)
+	}
+	if s := rig.m.Stats(); s.HostReloads != 1 || s.HostReloadDrops != 0 {
+		t.Errorf("reload stats = %+v, want one completed reload", s)
+	}
+}

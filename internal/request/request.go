@@ -40,6 +40,15 @@ func (s State) String() string {
 	return fmt.Sprintf("state(%d)", int(s))
 }
 
+// Sample is one point of the queued/running time series (the paper's
+// Figures 14 and 15): Queued counts requests waiting for service (never
+// admitted, preempted, or loading), Running the resident decode batch.
+type Sample struct {
+	At      simclock.Time
+	Queued  int
+	Running int
+}
+
 // Request is one streaming generation request and its runtime bookkeeping.
 // Fields are managed by the serving engine; schedulers read them through
 // the sched.View. A Request is not safe for concurrent use: the simulator

@@ -252,64 +252,3 @@ func TestPropertyUpfrontDeliveryNoStall(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestTrackerTransitions(t *testing.T) {
-	tr := NewTracker()
-	r1 := New(1, 0, 10, 10, 10)
-	r2 := New(2, 0, 10, 10, 10)
-	tr.Register(r1)
-	tr.Register(r2)
-	if tr.Count(StateQueued) != 2 || tr.Total() != 2 {
-		t.Fatalf("counts after register: queued=%d", tr.Count(StateQueued))
-	}
-	tr.Transition(r1, StateRunning)
-	if tr.Count(StateQueued) != 1 || tr.Count(StateRunning) != 1 {
-		t.Error("transition did not move counts")
-	}
-	tr.Transition(r1, StateRunning) // no-op
-	if tr.Count(StateRunning) != 1 {
-		t.Error("self-transition should not change counts")
-	}
-	tr.Transition(r1, StateFinished)
-	tr.Transition(r2, StateFinished)
-	if !tr.FinishedAll() {
-		t.Error("all finished")
-	}
-}
-
-func TestTrackerSamples(t *testing.T) {
-	tr := NewTracker()
-	r1 := New(1, 0, 10, 10, 10)
-	r2 := New(2, 0, 10, 10, 10)
-	r3 := New(3, 0, 10, 10, 10)
-	tr.Register(r1)
-	tr.Register(r2)
-	tr.Register(r3)
-	tr.Transition(r1, StateRunning)
-	tr.Transition(r2, StatePreempted)
-	tr.Sample(simclock.FromSeconds(1))
-	tr.Transition(r2, StateLoading)
-	tr.Transition(r3, StateRunning)
-	tr.Sample(simclock.FromSeconds(2))
-	s := tr.Samples()
-	if len(s) != 2 {
-		t.Fatalf("samples = %d", len(s))
-	}
-	// Sample 1: r1 running; r2 preempted + r3 queued => queued-ish 2.
-	if s[0].Running != 1 || s[0].Queued != 2 {
-		t.Errorf("sample 1 = %+v", s[0])
-	}
-	if s[1].Running != 2 || s[1].Queued != 1 {
-		t.Errorf("sample 2 = %+v", s[1])
-	}
-	if tr.MaxRunning() != 2 || tr.MaxQueued() != 2 {
-		t.Errorf("max running=%d queued=%d", tr.MaxRunning(), tr.MaxQueued())
-	}
-}
-
-func TestTrackerEmptyNotFinished(t *testing.T) {
-	tr := NewTracker()
-	if tr.FinishedAll() {
-		t.Error("empty tracker should not report finished")
-	}
-}

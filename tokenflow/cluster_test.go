@@ -237,3 +237,32 @@ func TestRunClusterErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestRetryBackoffSaturates: with the whole pool dead, a 64-attempt retry
+// budget doubles the backoff past the range of a time.Duration long
+// before the far-off deadline. The delay and the retry instant must
+// saturate instead of wrapping into the past (which panicked the clock):
+// the run times out with every orphan counted as a retry failure.
+func TestRetryBackoffSaturates(t *testing.T) {
+	const n = 64
+	w := tokenflow.BurstWorkload(n, 256, 1024, 20, 1)
+	res, err := tokenflow.RunCluster(tokenflow.ClusterConfig{
+		Config:   tokenflow.Config{GPU: "RTX-4090", Model: "Llama3-8B", MaxSimTimeSeconds: 9e9},
+		Replicas: 2,
+		Router:   "least-queue",
+		Chaos: &tokenflow.ChaosSpec{
+			Faults: []tokenflow.FaultSpec{
+				{Kind: "crash", AtSeconds: 5, Replica: 0},
+				{Kind: "crash", AtSeconds: 5, Replica: 1},
+			},
+			RetryMax: 64,
+		},
+	}, w)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Cluster.TimedOut || res.Cluster.Total != n || res.RetryFailures != n {
+		t.Errorf("timed out %v, %d requests, %d retry failures; want true, %d, %d",
+			res.Cluster.TimedOut, res.Cluster.Total, res.RetryFailures, n, n)
+	}
+}
